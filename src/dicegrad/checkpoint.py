@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import FormatError
 from .model import ModelConfig, SegModel, build_model
+from .optim import AdamState
 from .tensor_core import Rng
 
 MAGIC = b"DGRD"
@@ -85,8 +86,8 @@ class _Reader:
         return name, data.copy()
 
 
-def save_checkpoint(m: SegModel, state, path) -> None:
-    """Write model (+ optional Adam `state` with .step/.m/.v) atomically."""
+def save_checkpoint(m: SegModel, state: AdamState | None, path) -> None:
+    """Write model (+ optional Adam `state`) atomically."""
     parts = []
     for f in _CFG_FIELDS:
         parts.append(_pack_entry(f"cfg.{f}", float(getattr(m.cfg, f))))
@@ -154,8 +155,6 @@ def load_checkpoint(path):
     state = None
     opt_keys = [k for k in entries if k.startswith("opt.")]
     if opt_keys:
-        from .training import AdamState  # deferred: training imports this module
-
         if "opt.step" not in entries:
             raise FormatError(f"{path}: optimizer entries present but opt.step missing")
         step = int(round(float(entries.pop("opt.step"))))

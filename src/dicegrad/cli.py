@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 failed numeric checks, 2 configuration problems,
 3 I/O problems, 4 numeric aborts during training.
 
 DICEGRAD_THREADS caps worker parallelism for the comparison command
-(default 1, which keeps every output bitwise reproducible).  BLAS thread
+(default 1, which keeps every output bitwise reproducible); a value that
+is not a positive integer is a configuration error.  BLAS thread
 pools are pinned to one thread unless the caller already set them, for the
 same reason.
 """
@@ -24,8 +25,8 @@ import sys
 
 import numpy as np
 
-from . import (checkpoint, config, gradcheck, metrics, model as model_mod,
-               phantom, training, volume_io)
+from . import (checkpoint, config, gradcheck, model as model_mod, phantom,
+               svgplot, training, volume_io)
 from .errors import (ConfigError, DicegradError, FormatError, IoError,
                      NumericError, ValidationError)
 from .tensor_core import Rng
@@ -60,10 +61,14 @@ def _echo_config(cfg: dict, out_dir) -> None:
 
 
 def _workers() -> int:
+    raw = os.environ.get("DICEGRAD_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DICEGRAD_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"DICEGRAD_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def cmd_gen_data(args) -> int:
@@ -160,35 +165,25 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     if args.data is None or args.out is None:
         raise ConfigError("eval requires --data DIR and --out DIR")
-    self_test = cfg["eval.oracle_self_test"]
     num_labels = cfg["model.num_labels"]
-    if not self_test:
+    m = None
+    if not cfg["eval.oracle_self_test"]:
         if args.checkpoint is None:
             raise ConfigError("eval requires --checkpoint (or eval.oracle_self_test=true)")
         m, _ = checkpoint.load_checkpoint(args.checkpoint)
         num_labels = m.cfg.num_labels
 
     refs = volume_io.read_manifest(args.data)
+    cases = ((ref.case_id, volume_io.load_case(args.data, ref)) for ref in refs)
     rows = []          # (case_id, label, dsc, asd, flags)
-    for ref in refs:
-        vol = volume_io.load_case(args.data, ref)
-        if vol.labels.max(initial=0) >= num_labels:
-            raise ValidationError(
-                f"case {ref.case_id} has label {vol.labels.max()} but the model "
-                f"knows {num_labels} labels"
-            )
-        if self_test:
-            pred = vol.labels.copy()
-        else:
-            pred = model_mod.segment_volume(m, vol.intensities)
-        report = metrics.evaluate_case(pred, vol, num_labels=num_labels)
+    for case_id, report in training.evaluate_cases(cases, num_labels, m):
         for label, lm in sorted(report.per_label.items()):
             flags = []
             if lm.gt_voxels == 0:
                 flags.append("gt_empty")
             if lm.pred_voxels == 0:
                 flags.append("pred_empty")
-            rows.append((ref.case_id, label, lm.dsc, lm.asd_mm, ";".join(flags)))
+            rows.append((case_id, label, lm.dsc, lm.asd_mm, ";".join(flags)))
 
     os.makedirs(args.out, exist_ok=True)
     _echo_config(cfg, args.out)
@@ -220,15 +215,14 @@ def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     if args.data is None or args.out is None:
         raise ConfigError("compare requires --data DIR and --out DIR")
-    from . import svgplot
-
+    workers = _workers()
     model_cfg = config.model_config(cfg)
     base_cfg = config.train_config(cfg)
     cmp_cfg = config.compare_config(cfg)
     _echo_config(cfg, args.out)
     report = training.run_loss_comparison(args.data, model_cfg, base_cfg,
                                           cmp_cfg, args.out,
-                                          max_workers=_workers())
+                                          max_workers=workers)
     training.write_comparison_csv(os.path.join(args.out, "compare_results.csv"),
                                   report.results)
     with open(os.path.join(args.out, "verdicts.txt"), "w", encoding="utf-8",

@@ -11,6 +11,8 @@ effective-config echo in every output directory re-runnable.
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import ModelConfig
@@ -36,56 +38,45 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-# key -> (parser, default)
+# Parsers by dataclass field annotation (a string under postponed evaluation).
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[str, ...]": _parse_str_list,
+}
+
+# Key prefix -> (dataclass, the fields that are keys; None for every field
+# with a parser).  sampler.patch_size is not a key: the sampler takes
+# model.patch_size.
+_SECTIONS = {
+    "model": (ModelConfig, None),
+    "loss": (LossConfig, None),
+    "sampler": (SamplerConfig, ("batch_size", "center_jitter_px", "augment", "flip_prob",
+                                "max_translation_px", "elastic_sigma", "elastic_alpha")),
+    "phantom": (PhantomSpec, ("volume_size", "noise_std", "low_contrast")),
+    "train": (TrainConfig, None),
+    "compare": (CompareConfig, None),
+}
+
+# key -> (parser, default).  Keys backed by a dataclass field take both from
+# the field; the rest have no field default to take them from.
 SCHEMA: dict = {
+    **{f"{section}.{f.name}": (_PARSERS[f.type], f.default)
+       for section, (cls, names) in _SECTIONS.items()
+       for f in fields(cls)
+       if f.type in _PARSERS and f.default is not MISSING
+       and (names is None or f.name in names)},
     "model.num_labels": (int, 7),
-    "model.in_channels": (int, 1),
-    "model.depth": (int, 2),
-    "model.base_channels": (int, 16),
-    "model.patch_size": (int, 64),
-
-    "loss.kind": (str, "bsd"),
-    "loss.epsilon": (float, 1e-5),
-    "loss.dice_label_mode": (str, "per_label_mean"),
-    "loss.include_background": (_parse_bool, True),
-    "loss.prob_clamp": (float, 1e-12),
-
-    "sampler.batch_size": (int, 8),
-    "sampler.center_jitter_px": (int, 16),
-    "sampler.augment": (_parse_bool, True),
-    "sampler.flip_prob": (float, 0.5),
-    "sampler.max_translation_px": (int, 8),
-    "sampler.elastic_sigma": (float, 6.0),
-    "sampler.elastic_alpha": (float, 4.0),
-
-    "phantom.volume_size": (int, 64),
-    "phantom.noise_std": (float, 0.02),
-    "phantom.spacing_z": (float, 1.2),
-    "phantom.spacing_y": (float, 1.0),
-    "phantom.spacing_x": (float, 1.0),
-    "phantom.low_contrast": (float, 0.08),
-
+    **{f"phantom.spacing_{axis}": (float, mm)
+       for axis, mm in zip("zyx", PhantomSpec.spacing_mm)},
     "data.num_cases": (int, 30),
     "data.seed": (int, 0),
-
-    "train.steps": (int, 2000),
-    "train.learning_rate": (float, 1e-4),
-    "train.adam_beta1": (float, 0.9),
-    "train.adam_beta2": (float, 0.999),
-    "train.adam_eps": (float, 1e-8),
-    "train.seed": (int, 0),
-    "train.checkpoint_every": (int, 0),
-    "train.eval_every": (int, 0),
-    "train.holdout_cases": (int, 5),
-
     "eval.oracle_self_test": (_parse_bool, False),
-
     "check.threshold": (float, 1e-5),
     "check.end_to_end_threshold": (float, 1e-4),
-
-    "compare.losses": (_parse_str_list, ("ce", "wce", "sd", "bsd")),
-    "compare.seeds": (_parse_int_list, (0, 1, 2)),
-    "compare.small_labels": (_parse_int_list, (3, 4)),
 }
 
 
@@ -152,69 +143,32 @@ def render(cfg: dict) -> str:
 # dataclass builders
 # ---------------------------------------------------------------------------
 
+def _build(cls, section: str, cfg: dict, **extra):
+    """`cls` from its `section.*` keys in `cfg`, plus fields that are not keys."""
+    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    return cls(**{name: cfg[key] for name, key in keys.items() if key in SCHEMA}, **extra)
+
+
 def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        num_labels=cfg["model.num_labels"],
-        in_channels=cfg["model.in_channels"],
-        depth=cfg["model.depth"],
-        base_channels=cfg["model.base_channels"],
-        patch_size=cfg["model.patch_size"],
-    )
+    return _build(ModelConfig, "model", cfg)
 
 
 def loss_config(cfg: dict) -> LossConfig:
-    return LossConfig(
-        kind=cfg["loss.kind"],
-        epsilon=cfg["loss.epsilon"],
-        dice_label_mode=cfg["loss.dice_label_mode"],
-        include_background=cfg["loss.include_background"],
-        prob_clamp=cfg["loss.prob_clamp"],
-    )
+    return _build(LossConfig, "loss", cfg)
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(
-        patch_size=cfg["model.patch_size"],
-        batch_size=cfg["sampler.batch_size"],
-        num_labels=cfg["model.num_labels"],
-        center_jitter_px=cfg["sampler.center_jitter_px"],
-        augment=cfg["sampler.augment"],
-        flip_prob=cfg["sampler.flip_prob"],
-        max_translation_px=cfg["sampler.max_translation_px"],
-        elastic_sigma=cfg["sampler.elastic_sigma"],
-        elastic_alpha=cfg["sampler.elastic_alpha"],
-    )
+    return _build(SamplerConfig, "sampler", cfg, patch_size=cfg["model.patch_size"])
 
 
 def phantom_spec(cfg: dict) -> PhantomSpec:
-    return PhantomSpec(
-        volume_size=cfg["phantom.volume_size"],
-        spacing_mm=(cfg["phantom.spacing_z"], cfg["phantom.spacing_y"],
-                    cfg["phantom.spacing_x"]),
-        noise_std=cfg["phantom.noise_std"],
-        low_contrast=cfg["phantom.low_contrast"],
-    )
+    return _build(PhantomSpec, "phantom", cfg, spacing_mm=tuple(
+        cfg[f"phantom.spacing_{axis}"] for axis in "zyx"))
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        steps=cfg["train.steps"],
-        learning_rate=cfg["train.learning_rate"],
-        adam_beta1=cfg["train.adam_beta1"],
-        adam_beta2=cfg["train.adam_beta2"],
-        adam_eps=cfg["train.adam_eps"],
-        seed=cfg["train.seed"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-        eval_every=cfg["train.eval_every"],
-        holdout_cases=cfg["train.holdout_cases"],
-        loss=loss_config(cfg),
-        sampler=sampler_config(cfg),
-    )
+    return _build(TrainConfig, "train", cfg, loss=loss_config(cfg), sampler=sampler_config(cfg))
 
 
 def compare_config(cfg: dict) -> CompareConfig:
-    return CompareConfig(
-        losses=cfg["compare.losses"],
-        seeds=cfg["compare.seeds"],
-        small_labels=cfg["compare.small_labels"],
-    )
+    return _build(CompareConfig, "compare", cfg)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor_core import Rng, reduce_sum
+from .tensor_core import reduce_sum
 
 LOSS_KINDS = ("ce", "wce", "sd", "bsd")
 DICE_LABEL_MODES = ("joint", "per_label_mean")
@@ -214,49 +214,3 @@ _DISPATCH = {
 
 def compute_loss(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
     return _DISPATCH[cfg.kind](p, r, cfg)
-
-
-def loss_gradcheck(cfg: LossConfig, seed: int, shape=(2, 3, 4, 4),
-                   absent_label: bool = False, step: float = 1e-5) -> dict:
-    """Compare the analytic probability gradient against central finite
-    differences on a random batch, perturbing raw p without renormalizing.
-
-    With `absent_label` the last label is erased from the first image's
-    ground truth, exercising the epsilon-guarded empty-mask branch.
-    """
-    rng = Rng(seed)
-    logits = rng.normal(shape)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    labels = rng.child(1).integers(0, shape[1], (shape[0], shape[2], shape[3]))
-    if absent_label:
-        lab0 = labels[0]
-        lab0[lab0 == shape[1] - 1] = 0
-    r = np.zeros(shape)
-    np.put_along_axis(r, labels[:, None], 1.0, axis=1)
-
-    res = compute_loss(p, r, cfg)
-    numerical = _numerical_loss_grad(p, r, cfg, step)
-    from .gradcheck import max_rel_error  # local import to avoid a cycle
-
-    return {
-        "max_rel_error": max_rel_error(res.grad_p, numerical),
-        "value": res.value,
-        "analytic": res.grad_p,
-        "numerical": numerical,
-    }
-
-
-def _numerical_loss_grad(p, r, cfg, step):
-    g = np.zeros_like(p)
-    it = np.nditer(p, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        orig = p[i]
-        p[i] = orig + step
-        fp = compute_loss(p, r, cfg).value
-        p[i] = orig - step
-        fm = compute_loss(p, r, cfg).value
-        p[i] = orig
-        g[i] = (fp - fm) / (2.0 * step)
-    return g

@@ -60,12 +60,6 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def extract_boundary(mask: np.ndarray, spacing_mm) -> np.ndarray:
-    """Boundary voxel centers in mm, shape [K, 3]; empty mask gives K=0."""
-    idx = np.argwhere(boundary_mask(mask))
-    return idx * np.asarray(spacing_mm, dtype=float)
-
-
 def average_surface_distance(pred: np.ndarray, gt: np.ndarray, label: int,
                              spacing_mm) -> float:
     """Symmetric pooled mean surface distance in mm (both masks nonempty)."""
@@ -94,10 +88,6 @@ class LabelMetrics:
     asd_mm: float | None        # None when either mask is empty
     gt_voxels: int
     pred_voxels: int
-
-    @property
-    def absent(self) -> bool:
-        return self.gt_voxels == 0 or self.pred_voxels == 0
 
 
 @dataclass

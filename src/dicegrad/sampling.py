@@ -34,7 +34,6 @@ from .volume_io import LabeledVolume
 class SamplerConfig:
     patch_size: int = 64
     batch_size: int = 8
-    num_labels: int = 7
     center_jitter_px: int = 16
     augment: bool = True
     flip_prob: float = 0.5
@@ -45,8 +44,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.patch_size < 4 or self.batch_size < 1:
             raise ValidationError("patch_size >= 4 and batch_size >= 1 required")
-        if self.num_labels < 2:
-            raise ValidationError(f"num_labels must be >= 2, got {self.num_labels}")
         if not 0 <= self.flip_prob <= 1:
             raise ValidationError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
 
@@ -75,6 +72,8 @@ class PatchDataset:
     def __init__(self, cases: list[tuple[str, LabeledVolume]], num_labels: int):
         if not cases:
             raise ValidationError("dataset is empty")
+        if num_labels < 2:
+            raise ValidationError(f"num_labels must be >= 2, got {num_labels}")
         self.cases = cases
         self.num_labels = num_labels
         self.foreground = tuple(range(1, num_labels))
@@ -174,7 +173,7 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
     the batch's first patch (step * batch_size in a training loop)."""
     fg = dataset.foreground
     images = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
-    onehot = np.empty((cfg.batch_size, cfg.num_labels, cfg.patch_size, cfg.patch_size))
+    onehot = np.empty((cfg.batch_size, dataset.num_labels, cfg.patch_size, cfg.patch_size))
     provenance = []
     for slot in range(cfg.batch_size):
         g = start_index + slot
@@ -189,7 +188,7 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
         height, width = vol.labels.shape[1:]
         y0 = _crop_origin(cy + jy, cfg.patch_size, height)
         x0 = _crop_origin(cx + jx, cfg.patch_size, width)
-        img, hot = _extract_patch(vol, z, y0, x0, cfg.patch_size, cfg.num_labels)
+        img, hot = _extract_patch(vol, z, y0, x0, cfg.patch_size, dataset.num_labels)
         if cfg.augment:
             img, hot = augment(img, hot, prng.child(2), cfg)
         images[slot, 0] = img

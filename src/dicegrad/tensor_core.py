@@ -9,62 +9,11 @@ new arrays and never mutate their inputs, so values can be shared freely.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import AxisError, SizeError
 
 Tensor = np.ndarray
-
-
-def create(shape, fill: float = 0.0, data=None) -> Tensor:
-    """Build a float64 tensor of `shape`, either constant-filled or from `data`.
-
-    `data` is consumed in row-major order and must match the shape's element
-    count exactly.
-    """
-    shape = tuple(int(d) for d in shape)
-    if any(d < 1 for d in shape):
-        raise SizeError(f"dimensions must be >= 1, got {shape}")
-    n = math.prod(shape)
-    if data is None:
-        return np.full(shape, float(fill), dtype=np.float64)
-    flat = np.asarray(data, dtype=np.float64).reshape(-1)
-    if flat.size != n:
-        raise SizeError(f"data length {flat.size} does not match shape {shape} ({n} elements)")
-    return flat.reshape(shape).copy()
-
-
-def _check_same_shape(a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise SizeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    return a + b
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    return a - b
-
-
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; `b` may be a tensor of equal shape or a scalar."""
-    if np.isscalar(b):
-        return a * float(b)
-    _check_same_shape(a, b)
-    return a * b
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return a * float(s)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    return np.maximum(a, float(floor))
 
 
 def reduce_sum(t: Tensor, axes=None) -> Tensor:
@@ -145,9 +94,3 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path})"
-
-
-def seeded_normal(shape, rng: Rng, mean: float = 0.0, std: float = 1.0) -> Tensor:
-    """Draw a normal tensor from `rng`; std=0 yields a constant tensor."""
-    out = rng.normal(tuple(int(d) for d in shape), mean=mean, std=std)
-    return np.asarray(out, dtype=np.float64)

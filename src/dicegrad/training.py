@@ -26,6 +26,9 @@ import numpy as np
 from . import checkpoint, metrics, model as model_mod, sampling, volume_io
 from .errors import NumericError, ValidationError
 from .losses import LossConfig, compute_loss
+# train() calls adam_step through this module's global, so wrapping
+# training.adam_step (as the benchmark's step clock does) sees every step.
+from .optim import AdamState, adam_step
 from .sampling import PatchDataset, SamplerConfig
 from .tensor_core import Rng
 
@@ -51,21 +54,8 @@ class TrainConfig:
             raise ValidationError("adam betas must lie in (0, 1)")
         if self.steps < 0 or self.holdout_cases < 0:
             raise ValidationError("steps and holdout_cases must be >= 0")
-
-
-@dataclass
-class AdamState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def fresh(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        if self.checkpoint_every < 0 or self.eval_every < 0:
+            raise ValidationError("checkpoint_every and eval_every must be >= 0")
 
 
 @dataclass
@@ -75,32 +65,31 @@ class RunRecord:
     wall_clock: float = 0.0
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, cfg: TrainConfig) -> None:
-    """One in-place Adam update with bias correction."""
-    state.step += 1
-    t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_eps)
+def evaluate_cases(cases, num_labels: int, m: model_mod.SegModel | None = None):
+    """Score each (case_id, LabeledVolume) of `cases`, yielding
+    (case_id, MetricsReport) in order.
+
+    The model segments each volume; with `m` None the ground truth is
+    scored against itself (the oracle self-test).  `cases` may be any
+    iterable, so a caller can load one case at a time.
+    """
+    for case_id, vol in cases:
+        if vol.labels.max(initial=0) >= num_labels:
+            raise ValidationError(
+                f"case {case_id} has label {vol.labels.max()} but the model "
+                f"knows {num_labels} labels"
+            )
+        if m is None:
+            pred = vol.labels.copy()
+        else:
+            pred = model_mod.segment_volume(m, vol.intensities)
+        yield case_id, metrics.evaluate_case(pred, vol, num_labels=num_labels)
 
 
 def _mean_dsc_by_label(m: model_mod.SegModel,
                        holdout: list[tuple[str, volume_io.LabeledVolume]]):
     sums: dict[int, list[float]] = {}
-    for _, vol in holdout:
-        pred = model_mod.segment_volume(m, vol.intensities)
-        report = metrics.evaluate_case(pred, vol, num_labels=m.cfg.num_labels)
+    for _, report in evaluate_cases(holdout, m.cfg.num_labels, m):
         for label, lm in report.per_label.items():
             sums.setdefault(label, []).append(lm.dsc)
     return {label: float(np.mean(vals)) for label, vals in sorted(sums.items())}
@@ -225,9 +214,7 @@ def _run_cell(data_dir, model_cfg: model_mod.ModelConfig, cell_cfg: TrainConfig,
     m = model_mod.build_model(model_cfg, Rng(cell_cfg.seed).child(1))
     m, _ = train(m, train_ds, cell_cfg, out_dir=cell_dir, holdout=holdout)
     rows = []
-    for case_id, vol in holdout:
-        pred = model_mod.segment_volume(m, vol.intensities)
-        report = metrics.evaluate_case(pred, vol, num_labels=model_cfg.num_labels)
+    for case_id, report in evaluate_cases(holdout, model_cfg.num_labels, m):
         for label, lm in sorted(report.per_label.items()):
             rows.append(CaseResult(cell_cfg.loss.kind, cell_cfg.seed, case_id,
                                    label, lm.dsc, lm.asd_mm))

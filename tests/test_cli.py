@@ -221,6 +221,15 @@ def test_compare_outputs_and_svg(tmp_path, capsys):
     assert "bsd>ce" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("DICEGRAD_THREADS", value)
+    rc = cli.main(["compare", "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "cmp")])
+    assert rc == cli.EXIT_CONFIG
+    assert "DICEGRAD_THREADS" in capsys.readouterr().err
+
+
 def test_help_via_entry_point():
     import subprocess
 

@@ -1,9 +1,13 @@
 """Config parsing, precedence, rendering, and dataclass builders."""
 
+import numpy as np
 import pytest
 
 from dicegrad import config
 from dicegrad.errors import ConfigError
+from dicegrad.sampling import PatchDataset, sample_balanced_batch
+from dicegrad.tensor_core import Rng
+from dicegrad.volume_io import LabeledVolume
 
 
 def test_defaults_cover_schema():
@@ -72,8 +76,12 @@ def test_builders_wire_shared_keys():
                                 "sampler.batch_size=4"])
     sc = config.sampler_config(cfg)
     assert sc.patch_size == 32               # sampler inherits the model patch
-    assert sc.num_labels == 5
     assert sc.batch_size == 4
+    # the label count comes from the dataset built with model.num_labels
+    labels = np.arange(2 * 32 * 32).reshape(2, 32, 32) % 5
+    vol = LabeledVolume(np.zeros(labels.shape), labels, (1.0, 1.0, 1.0))
+    ds = PatchDataset([("c", vol)], cfg["model.num_labels"])
+    assert sample_balanced_batch(ds, sc, Rng(0)).onehot.shape[1] == ds.num_labels == 5
     mc = config.model_config(cfg)
     assert mc.patch_size == 32
     tc = config.train_config(cfg)

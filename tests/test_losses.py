@@ -8,7 +8,8 @@ import pytest
 
 from dicegrad import losses
 from dicegrad.errors import ValidationError
-from dicegrad.losses import LossConfig, compute_loss, loss_gradcheck
+from dicegrad.gradcheck import loss_gradcheck
+from dicegrad.losses import LossConfig, compute_loss
 from dicegrad.tensor_core import Rng
 
 

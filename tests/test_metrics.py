@@ -122,14 +122,6 @@ def test_boundary_matches_loop_oracle(seed):
     assert np.array_equal(metrics.boundary_mask(mask), oracle_boundary(mask))
 
 
-def test_extract_boundary_scales_by_spacing():
-    mask = np.zeros((3, 3, 3), dtype=bool)
-    mask[1, 2, 0] = True
-    pts = metrics.extract_boundary(mask, (1.2, 1.0, 0.5))
-    assert pts.shape == (1, 3)
-    assert np.allclose(pts[0], [1.2, 2.0, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # average surface distance
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def test_evaluate_case_self_comparison():
     for lm in rep.per_label.values():
         assert lm.dsc == 1.0
         assert lm.asd_mm == 0.0
-        assert not lm.absent
+        assert lm.gt_voxels == lm.pred_voxels > 0
 
 
 def test_evaluate_case_absent_label():
@@ -221,9 +213,9 @@ def test_evaluate_case_absent_label():
     pred = np.zeros_like(gt)             # label 1 predicted nowhere
     rep = metrics.evaluate_case(pred, _volume(gt), num_labels=3)
     lm = rep.per_label[1]
-    assert lm.dsc == 0.0 and lm.asd_mm is None and lm.absent
+    assert lm.dsc == 0.0 and lm.asd_mm is None and lm.pred_voxels == 0
     lm2 = rep.per_label[2]               # label 2 in neither volume
-    assert lm2.dsc == 1.0 and lm2.asd_mm is None and lm2.absent
+    assert lm2.dsc == 1.0 and lm2.asd_mm is None and lm2.gt_voxels == 0
 
 
 def test_evaluate_case_shape_mismatch():

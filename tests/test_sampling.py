@@ -20,8 +20,8 @@ def dataset():
 
 
 def small_cfg(**kw):
-    defaults = dict(patch_size=32, batch_size=8, num_labels=7,
-                    center_jitter_px=8, elastic_sigma=4.0, elastic_alpha=2.0)
+    defaults = dict(patch_size=32, batch_size=8, center_jitter_px=8,
+                    elastic_sigma=4.0, elastic_alpha=2.0)
     defaults.update(kw)
     return SamplerConfig(**defaults)
 
@@ -118,6 +118,8 @@ def test_dataset_validation():
     vol = LabeledVolume(np.zeros((2, 8, 8)), lab, (1.0, 1.0, 1.0))
     with pytest.raises(ValidationError):
         PatchDataset([("bad", vol)], num_labels=3)
+    with pytest.raises(ValidationError, match="num_labels"):
+        PatchDataset([("bad", vol)], num_labels=1)
 
 
 def test_sampler_config_validation():
@@ -135,7 +137,7 @@ def test_sampler_config_validation():
 
 def test_augment_disabled_is_identity():
     img, onehot = checkers_pair()
-    cfg = SamplerConfig(patch_size=16, num_labels=3, flip_prob=0.0,
+    cfg = SamplerConfig(patch_size=16, flip_prob=0.0,
                         max_translation_px=0, elastic_alpha=0.0)
     out_img, out_hot = augment(img.copy(), onehot.copy(), Rng(5), cfg)
     assert np.array_equal(out_img, img)
@@ -153,7 +155,7 @@ def test_flip_is_involution():
 
 def test_flip_probability_extremes():
     img, onehot = checkers_pair()
-    always = SamplerConfig(patch_size=16, num_labels=3, flip_prob=1.0,
+    always = SamplerConfig(patch_size=16, flip_prob=1.0,
                            max_translation_px=0, elastic_alpha=0.0)
     out_img, _ = augment(img.copy(), onehot.copy(), Rng(6), always)
     assert np.array_equal(out_img, img[:, ::-1])
@@ -186,7 +188,7 @@ def test_elastic_zero_alpha_identity_and_onehot_preserved():
 
 def test_augment_deterministic_per_stream():
     img, onehot = checkers_pair()
-    cfg = SamplerConfig(patch_size=16, num_labels=3)
+    cfg = SamplerConfig(patch_size=16)
     a = augment(img.copy(), onehot.copy(), Rng(13).child(4), cfg)
     b = augment(img.copy(), onehot.copy(), Rng(13).child(4), cfg)
     assert np.array_equal(a[0], b[0])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,8 @@ def fast_cfg(**kw):
         learning_rate=1e-3,
         seed=0,
         loss=LossConfig(kind="bsd", dice_label_mode="per_label_mean"),
-        sampler=SamplerConfig(patch_size=16, batch_size=4, num_labels=7,
-                              center_jitter_px=4, elastic_sigma=3.0,
-                              elastic_alpha=1.0),
+        sampler=SamplerConfig(patch_size=16, batch_size=4, center_jitter_px=4,
+                              elastic_sigma=3.0, elastic_alpha=1.0),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -98,6 +98,10 @@ def test_train_config_validation():
         fast_cfg(adam_beta1=1.0)
     with pytest.raises(ValidationError):
         fast_cfg(steps=-1)
+    with pytest.raises(ValidationError):
+        fast_cfg(checkpoint_every=-5)
+    with pytest.raises(ValidationError):
+        fast_cfg(eval_every=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,17 @@ def test_periodic_eval_and_outputs(tiny_world, tmp_path):
     assert len(lines) == 5
     step, value = lines[1].split(",")
     assert (int(step), float(value)) == rec.losses[0]
+
+
+def test_holdout_label_out_of_range_is_rejected(tiny_world):
+    dataset, holdout, model_cfg = tiny_world
+    case_id, vol = holdout[0]
+    labels = vol.labels.copy()
+    labels[0, 0, 0] = model_cfg.num_labels
+    bad = [(case_id, replace(vol, labels=labels))]
+    m = build_model(model_cfg, Rng(3))
+    with pytest.raises(ValidationError, match=f"has label {model_cfg.num_labels}"):
+        train(m, dataset, fast_cfg(steps=1, eval_every=1), holdout=bad)
 
 
 def test_resume_reproduces_uninterrupted_run(tiny_world, tmp_path):
