@@ -37,79 +37,55 @@ def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def _rand_weighting(rng: Rng, shape) -> np.ndarray:
-    # Fixed random projection turns a tensor-valued layer into a scalar map
-    # whose gradient exercises every output element.
-    return rng.normal(shape)
+def _check_layer(fwd, bwd, args: dict, w_out: np.ndarray) -> dict:
+    """Max relative error of each analytic gradient of a layer, by name.
 
+    `fwd(*args.values())` returns (y, cache) and `bwd(cache, w_out)` the
+    gradients in the order of `args` (a bare array when there is one).  A
+    fixed random projection `w_out` of the output turns the layer into the
+    scalar map sum(y * w_out), whose finite differences exercise every
+    output element.
+    """
+    vals = list(args.values())
+    grads = bwd(fwd(*vals)[1], w_out)
+    if len(vals) == 1:
+        grads = (grads,)
+    errors = {}
+    for k, name in enumerate(args):
+        def f(v, k=k):
+            return float((fwd(*vals[:k], v, *vals[k + 1:])[0] * w_out).sum())
 
-def _conv_params(rng: Rng, cin: int, cout: int) -> layers.LayerParams:
-    return layers.LayerParams(
-        weights=rng.normal((cout, cin, 3, 3), std=0.5),
-        bias=rng.normal((cout,), std=0.5),
-    )
-
-
-def _bn_params(rng: Rng, c: int) -> layers.LayerParams:
-    return layers.LayerParams(
-        bn_gamma=rng.normal((c,), mean=1.0, std=0.2),
-        bn_beta=rng.normal((c,), std=0.2),
-        bn_running_mean=np.zeros(c),
-        bn_running_var=np.ones(c),
-    )
+        errors[name] = max_rel_error(grads[k], numerical_grad(f, vals[k].copy()))
+    return errors
 
 
 def check_conv(seed: int = 7, shape=(1, 2, 5, 5), cout: int = 3) -> dict:
     rng = Rng(seed)
     x = rng.normal(shape)
-    p = _conv_params(rng.child(1), shape[1], cout)
-    y, cache = layers.conv2d(x, p)
-    w_out = _rand_weighting(rng.child(2), y.shape)
-    dx, dw, db = layers.conv2d_backward(cache, w_out)
-
-    def f_x(xv):
-        return float((layers.conv2d(xv, p)[0] * w_out).sum())
-
-    def f_w(wv):
-        return float((layers.conv2d(x, layers.LayerParams(weights=wv, bias=p.bias))[0] * w_out).sum())
-
-    def f_b(bv):
-        return float((layers.conv2d(x, layers.LayerParams(weights=p.weights, bias=bv))[0] * w_out).sum())
-
-    return {
-        "input": max_rel_error(dx, numerical_grad(f_x, x.copy())),
-        "weights": max_rel_error(dw, numerical_grad(f_w, p.weights.copy())),
-        "bias": max_rel_error(db, numerical_grad(f_b, p.bias.copy())),
-    }
+    prng = rng.child(1)
+    w = prng.normal((cout, shape[1], 3, 3), std=0.5)
+    b = prng.normal((cout,), std=0.5)
+    w_out = rng.child(2).normal((shape[0], cout, *shape[2:]))
+    return _check_layer(
+        lambda xv, wv, bv: layers.conv2d(xv, layers.LayerParams(weights=wv, bias=bv)),
+        layers.conv2d_backward, {"input": x, "weights": w, "bias": b}, w_out)
 
 
 def check_batchnorm(seed: int = 11, shape=(4, 3, 5, 5)) -> dict:
     rng = Rng(seed)
     x = rng.normal(shape, std=1.5)
-    p = _bn_params(rng.child(1), shape[1])
-    w_out = _rand_weighting(rng.child(2), shape)
+    prng = rng.child(1)
+    gamma = prng.normal((shape[1],), mean=1.0, std=0.2)
+    beta = prng.normal((shape[1],), std=0.2)
+    w_out = rng.child(2).normal(shape)
 
-    def run(xv, gamma, beta):
-        q = layers.LayerParams(
-            bn_gamma=gamma, bn_beta=beta,
-            bn_running_mean=np.zeros(shape[1]), bn_running_var=np.ones(shape[1]),
-            bn_momentum=p.bn_momentum, bn_eps=p.bn_eps,
-        )
-        return layers.batchnorm(xv, q, "train")
+    def fwd(xv, g, bt):
+        return layers.batchnorm(xv, layers.LayerParams(
+            bn_gamma=g, bn_beta=bt,
+            bn_running_mean=np.zeros(shape[1]), bn_running_var=np.ones(shape[1])), "train")
 
-    y, cache = run(x, p.bn_gamma, p.bn_beta)
-    dx, dgamma, dbeta = layers.batchnorm_backward(cache, w_out)
-    return {
-        "input": max_rel_error(
-            dx, numerical_grad(lambda xv: float((run(xv, p.bn_gamma, p.bn_beta)[0] * w_out).sum()), x.copy())
-        ),
-        "gamma": max_rel_error(
-            dgamma, numerical_grad(lambda g: float((run(x, g, p.bn_beta)[0] * w_out).sum()), p.bn_gamma.copy())
-        ),
-        "beta": max_rel_error(
-            dbeta, numerical_grad(lambda bt: float((run(x, p.bn_gamma, bt)[0] * w_out).sum()), p.bn_beta.copy())
-        ),
-    }
+    return _check_layer(fwd, layers.batchnorm_backward,
+                        {"input": x, "gamma": gamma, "beta": beta}, w_out)
 
 
 def check_relu(seed: int = 2, shape=(2, 3, 4, 4)) -> dict:
@@ -117,11 +93,8 @@ def check_relu(seed: int = 2, shape=(2, 3, 4, 4)) -> dict:
     x = rng.normal(shape)
     # keep inputs away from the kink so finite differences are valid
     x = np.where(np.abs(x) < 0.1, 0.5, x)
-    w_out = _rand_weighting(rng.child(1), shape)
-    _, cache = layers.relu(x)
-    dx = layers.relu_backward(cache, w_out)
-    num = numerical_grad(lambda xv: float((layers.relu(xv)[0] * w_out).sum()), x.copy())
-    return {"input": max_rel_error(dx, num)}
+    w_out = rng.child(1).normal(shape)
+    return _check_layer(layers.relu, layers.relu_backward, {"input": x}, w_out)
 
 
 def check_maxpool(seed: int = 3, shape=(2, 2, 6, 6)) -> dict:
@@ -129,31 +102,22 @@ def check_maxpool(seed: int = 3, shape=(2, 2, 6, 6)) -> dict:
     x = rng.normal(shape)
     # perturb away from ties so the argmax is stable under the FD step
     x += rng.child(1).uniform(shape, 0.0, 1e-3)
-    w_out = _rand_weighting(rng.child(2), (shape[0], shape[1], shape[2] // 2, shape[3] // 2))
-    _, cache = layers.maxpool2(x)
-    dx = layers.maxpool2_backward(cache, w_out)
-    num = numerical_grad(lambda xv: float((layers.maxpool2(xv)[0] * w_out).sum()), x.copy())
-    return {"input": max_rel_error(dx, num)}
+    w_out = rng.child(2).normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+    return _check_layer(layers.maxpool2, layers.maxpool2_backward, {"input": x}, w_out)
 
 
 def check_bilinear(seed: int = 4, shape=(2, 2, 3, 3)) -> dict:
     rng = Rng(seed)
     x = rng.normal(shape)
-    w_out = _rand_weighting(rng.child(1), (shape[0], shape[1], 2 * shape[2], 2 * shape[3]))
-    _, cache = layers.bilinear_up2(x)
-    dx = layers.bilinear_up2_backward(cache, w_out)
-    num = numerical_grad(lambda xv: float((layers.bilinear_up2(xv)[0] * w_out).sum()), x.copy())
-    return {"input": max_rel_error(dx, num)}
+    w_out = rng.child(1).normal((shape[0], shape[1], 2 * shape[2], 2 * shape[3]))
+    return _check_layer(layers.bilinear_up2, layers.bilinear_up2_backward, {"input": x}, w_out)
 
 
 def check_softmax(seed: int = 5, shape=(2, 4, 3, 3)) -> dict:
     rng = Rng(seed)
     x = rng.normal(shape)
-    w_out = _rand_weighting(rng.child(1), shape)
-    _, cache = layers.softmax(x)
-    dx = layers.softmax_backward(cache, w_out)
-    num = numerical_grad(lambda xv: float((layers.softmax(xv)[0] * w_out).sum()), x.copy())
-    return {"input": max_rel_error(dx, num)}
+    w_out = rng.child(1).normal(shape)
+    return _check_layer(layers.softmax, layers.softmax_backward, {"input": x}, w_out)
 
 
 def run_layer_checks() -> list[tuple[str, float]]:
@@ -181,9 +145,7 @@ def loss_gradcheck(cfg: losses.LossConfig, seed: int, shape=(2, 3, 4, 4),
     ground truth, exercising the epsilon-guarded empty-mask branch.
     """
     rng = Rng(seed)
-    logits = rng.normal(shape)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    p, _ = layers.softmax(rng.normal(shape))
     labels = rng.child(1).integers(0, shape[1], (shape[0], shape[2], shape[3]))
     if absent_label:
         lab0 = labels[0]
@@ -206,16 +168,14 @@ def run_loss_checks() -> list[tuple[str, float]]:
     zero-division-guarded degenerate case (a label absent from one image)."""
     rows = []
     seed = 0
-    for kind in ("ce", "wce", "sd", "bsd"):
-        modes = (None,) if kind in ("ce", "wce") else ("joint", "per_label_mean")
-        for mode in modes:
+    for kind in losses.LOSS_KINDS:
+        dice = kind in ("sd", "bsd")
+        for mode in losses.DICE_LABEL_MODES if dice else (None,):
             seed += 1
-            cfg = losses.LossConfig(kind=kind) if mode is None else losses.LossConfig(
-                kind=kind, dice_label_mode=mode
-            )
-            rep = loss_gradcheck(cfg, seed=seed)
-            name = kind if mode is None else f"{kind}[{mode}]"
-            rows.append((f"{name}/prob", rep["max_rel_error"]))
+            cfg = (losses.LossConfig(kind=kind, dice_label_mode=mode) if dice
+                   else losses.LossConfig(kind=kind))
+            name = f"{kind}[{mode}]" if dice else kind
+            rows.append((f"{name}/prob", loss_gradcheck(cfg, seed=seed)["max_rel_error"]))
     for kind in ("sd", "bsd"):
         cfg = losses.LossConfig(kind=kind, dice_label_mode="per_label_mean")
         rep = loss_gradcheck(cfg, seed=17, absent_label=True)

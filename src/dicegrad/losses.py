@@ -10,6 +10,11 @@ r of identical shape:
   sd   soft Dice averaged over the I images of the batch
   bsd  soft Dice pooled over all I*H*W pixels of the batch at once
 
+ce and wce share one kernel that differs only in the pixel weight.  sd and
+bsd share one kernel that differs only in the pooling group of its sums:
+each image on its own, or the whole batch as one group.  With one image
+there is nothing to pool, so sd and bsd agree bit for bit.
+
 The Dice losses come in two label treatments: "joint" sums intersection
 and union over all labels before forming the quotient; "per_label_mean"
 forms one quotient per label and averages.  Under softmax-consistent p
@@ -50,8 +55,8 @@ class LossConfig:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
         if self.dice_label_mode not in DICE_LABEL_MODES:
             raise ValidationError(f"unknown dice_label_mode {self.dice_label_mode!r}")
-        if not self.epsilon >= 0:
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0 < self.prob_clamp <= 1e-3:
             raise ValidationError(f"prob_clamp must be in (0, 1e-3], got {self.prob_clamp}")
 
@@ -91,126 +96,60 @@ def pixel_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def _log_term(p: np.ndarray, r: np.ndarray, cfg: LossConfig):
-    """r*log(max(p, clamp)) and the unclamped-entry gradient mask r/p."""
-    clamped = p < cfg.prob_clamp
-    logp = np.log(np.maximum(p, cfg.prob_clamp))
-    grad = np.where(clamped, 0.0, r / np.maximum(p, cfg.prob_clamp))
-    return r * logp, grad
-
-
-def cross_entropy(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
-    """Mean over all N pixels of -log p at the true label."""
-    _check_pair(p, r)
+def _cross_entropy(p: np.ndarray, r: np.ndarray, cfg: LossConfig,
+                   weighted: bool) -> LossResult:
+    """Mean over all N pixels of -log p at the true label, each pixel
+    weighted by 1, or by 1/w_c when `weighted` so that rare labels
+    contribute on par with frequent ones.  Entries of p below the clamp
+    get no gradient."""
     _check_onehot(r)
     n = p.shape[0] * p.shape[2] * p.shape[3]
-    term, grad = _log_term(p, r, cfg)
-    value = -float(reduce_sum(term)) / n
-    return LossResult(value, -grad / n)
+    w = 1.0 / pixel_weights(r) if weighted else 1.0
+    safe = np.maximum(p, cfg.prob_clamp)
+    term = r * np.log(safe)
+    grad = np.where(p < cfg.prob_clamp, 0.0, r / safe)
+    value = -float(reduce_sum(term * w)) / n
+    return LossResult(value, -grad * w / n)
 
 
-def weighted_cross_entropy(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
-    """Cross-entropy with each pixel weighted by the reciprocal of its
-    label's within-batch prior, so rare labels contribute on par with
-    frequent ones."""
-    _check_pair(p, r)
-    _check_onehot(r)
-    n = p.shape[0] * p.shape[2] * p.shape[3]
-    inv_w = 1.0 / pixel_weights(r)
-    term, grad = _log_term(p, r, cfg)
-    value = -float(reduce_sum(term * inv_w)) / n
-    return LossResult(value, -grad * inv_w / n)
+def _soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig, pooled: bool) -> LossResult:
+    """Mean over quotients of 1 - (2*sum p r + eps) / (sum (p + r) + eps).
 
-
-def _dice_sums(p, r, pooled: bool):
-    """Intersection and mass sums per (image, label), or per label pooled
-    over the batch when `pooled`."""
-    axes = (2, 3)
-    inter = reduce_sum(p * r, axes=axes)
-    mass = reduce_sum(p + r, axes=axes)
+    The sums are taken per (image, label), giving a [G, L] table with G = I;
+    `pooled` first adds the images together (G = 1).  Joint mode then adds
+    the labels together, per_label_mean keeps one quotient per label.  The
+    gradient of each quotient is constant over the pixels of its group.
+    """
+    inter = reduce_sum(p * r, axes=(2, 3))              # [I, L]
+    mass = reduce_sum(p + r, axes=(2, 3))
     if pooled:
-        inter = reduce_sum(inter, axes=(0,))
-        mass = reduce_sum(mass, axes=(0,))
-    return inter, mass
-
-
-def _label_slice(cfg: LossConfig, num_labels: int):
-    start = 0 if cfg.include_background else 1
-    if num_labels - start < 1:
-        raise ValidationError("no labels left after excluding background")
-    return slice(start, num_labels)
-
-
-def soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
-    """Per-image soft Dice loss, averaged over the I images.
-
-    joint mode:           1 - (2*sum_{l,c} p r + eps) / (sum_{l,c} (p + r) + eps)   per image
-    per_label_mean mode:  mean over labels of the per-image per-label quotient
-    """
-    _check_pair(p, r)
-    i_count, num_labels = p.shape[0], p.shape[1]
-    eps = cfg.epsilon
-    inter, mass = _dice_sums(p, r, pooled=False)      # [I, L]
-    grad = np.empty_like(p)
+        inter = reduce_sum(inter, axes=(0,))[None]      # [1, L]
+        mass = reduce_sum(mass, axes=(0,))[None]
     if cfg.dice_label_mode == "joint":
-        num = 2.0 * reduce_sum(inter, axes=(1,)) + eps   # [I]
-        den = reduce_sum(mass, axes=(1,)) + eps
-        value = float(reduce_sum(1.0 - num / den)) / i_count
-        # d/dp of -(num/den): quotient rule, constant within each image
-        a = (num / den**2 / i_count)[:, None, None, None]
-        b = (2.0 / den / i_count)[:, None, None, None]
-        grad[:] = a - b * r
+        ls = slice(None)
+        inter = reduce_sum(inter, axes=(1,))[:, None]   # [G, 1]
+        mass = reduce_sum(mass, axes=(1,))[:, None]
     else:
-        ls = _label_slice(cfg, num_labels)
-        num = 2.0 * inter[:, ls] + eps                   # [I, L']
-        den = mass[:, ls] + eps
-        l_count = num.shape[1]
-        value = float(reduce_sum(1.0 - num / den)) / (i_count * l_count)
-        grad[:] = 0.0
-        a = num / den**2 / (i_count * l_count)
-        b = 2.0 / den / (i_count * l_count)
-        grad[:, ls] = a[:, :, None, None] - b[:, :, None, None] * r[:, ls]
+        ls = slice(0 if cfg.include_background else 1, None)
+        if ls.start >= p.shape[1]:
+            raise ValidationError("no labels left after excluding background")
+        inter, mass = inter[:, ls], mass[:, ls]         # [G, L']
+    num = 2.0 * inter + cfg.epsilon
+    den = mass + cfg.epsilon
+    q = num.size
+    value = float(reduce_sum(1.0 - num / den)) / q
+    # d/dp of -(num/den) by the quotient rule
+    a = (num / den**2 / q)[:, :, None, None]
+    b = (2.0 / den / q)[:, :, None, None]
+    grad = np.zeros_like(p)
+    grad[:, ls] = a - b * r[:, ls]
     return LossResult(value, grad)
-
-
-def batch_soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
-    """Soft Dice computed once over every pixel of the mini-batch.
-
-    Identical to `soft_dice` when I == 1; for larger batches the pooling
-    keeps every label's quotient well-populated as long as the label occurs
-    somewhere in the batch.
-    """
-    _check_pair(p, r)
-    num_labels = p.shape[1]
-    eps = cfg.epsilon
-    inter, mass = _dice_sums(p, r, pooled=True)       # [L]
-    grad = np.empty_like(p)
-    if cfg.dice_label_mode == "joint":
-        num = 2.0 * float(reduce_sum(inter)) + eps
-        den = float(reduce_sum(mass)) + eps
-        value = 1.0 - num / den
-        grad[:] = num / den**2
-        grad -= (2.0 / den) * r
-    else:
-        ls = _label_slice(cfg, num_labels)
-        num = 2.0 * inter[ls] + eps                   # [L']
-        den = mass[ls] + eps
-        l_count = num.shape[0]
-        value = float(reduce_sum(1.0 - num / den)) / l_count
-        grad[:] = 0.0
-        a = num / den**2 / l_count
-        b = 2.0 / den / l_count
-        grad[:, ls] = a[None, :, None, None] - b[None, :, None, None] * r[:, ls]
-    return LossResult(value, grad)
-
-
-_DISPATCH = {
-    "ce": cross_entropy,
-    "wce": weighted_cross_entropy,
-    "sd": soft_dice,
-    "bsd": batch_soft_dice,
-}
 
 
 def compute_loss(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
-    return _DISPATCH[cfg.kind](p, r, cfg)
+    """Value and d(value)/dp of the `cfg.kind` loss of probabilities `p`
+    against one-hot ground truth `r`, both [I, L, H, W]."""
+    _check_pair(p, r)
+    if cfg.kind in ("ce", "wce"):
+        return _cross_entropy(p, r, cfg, weighted=cfg.kind == "wce")
+    return _soft_dice(p, r, cfg, pooled=cfg.kind == "bsd")

@@ -52,13 +52,7 @@ class SegModel:
 
     def unit_names(self) -> list[str]:
         """Conv-BN-ReLU unit names in forward execution order."""
-        names = []
-        for d in range(self.cfg.depth):
-            names += [f"enc{d}.u0", f"enc{d}.u1"]
-        names += ["mid.u0", "mid.u1"]
-        for d in reversed(range(self.cfg.depth)):
-            names += [f"dec{d}.u0", f"dec{d}.u1"]
-        return names
+        return list(_unit_channels(self.cfg))
 
     def param_table(self) -> dict[str, np.ndarray]:
         """Trainable parameters, name -> array (live references)."""
@@ -84,7 +78,8 @@ class SegModel:
 
 
 def _unit_channels(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    """(in_ch, out_ch) per unit, walking the topology."""
+    """(in_ch, out_ch) per unit, walking the topology in forward execution
+    order: encoder stages, bottleneck, decoder stages."""
     base, depth = cfg.base_channels, cfg.depth
     ch = {}
     prev = cfg.in_channels
@@ -125,8 +120,7 @@ def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
     and identity batch-norm scales; deterministic for a given rng."""
     m = SegModel(cfg=cfg)
     ch = _unit_channels(cfg)
-    for i, name in enumerate(m.unit_names()):
-        cin, cout = ch[name]
+    for i, (name, (cin, cout)) in enumerate(ch.items()):
         m.units[name] = _init_unit(cin, cout, rng.child(i))
     m.final = _init_unit(cfg.base_channels, cfg.num_labels, rng.child(len(ch)), with_bn=False)
     return m

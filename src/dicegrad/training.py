@@ -48,8 +48,9 @@ class TrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (0 < self.learning_rate < np.inf and 0 < self.adam_eps < np.inf):
+            raise ValidationError(f"learning_rate and adam_eps must be finite and > 0, "
+                                  f"got {self.learning_rate} and {self.adam_eps}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValidationError("adam betas must lie in (0, 1)")
         if self.steps < 0 or self.holdout_cases < 0:

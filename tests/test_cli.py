@@ -122,6 +122,13 @@ def test_train_requires_dirs():
     assert cli.main(["train"] + TINY) == cli.EXIT_CONFIG
 
 
+def test_train_bad_adam_eps_is_config_error(tmp_path):
+    # the config is validated before the (missing) dataset is read
+    rc = cli.main(["train", "--data", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "out")] + TINY + ["--set", "train.adam_eps=-1"])
+    assert rc == cli.EXIT_CONFIG
+
+
 def test_train_resume_matches_uninterrupted(tmp_path):
     data = gen(tmp_path)
     args = TINY + ["--set", "train.steps=4", "--set", "train.checkpoint_every=2"]

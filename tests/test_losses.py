@@ -90,12 +90,16 @@ def oracle_bsd(p, r, eps, mode, include_background=True):
     return total / (nl - lo)
 
 
-def random_pair(seed, shape=(2, 3, 4, 4)):
-    """Softmax-consistent probabilities and one-hot ground truth."""
+def random_pair(seed, shape=(2, 3, 4, 4), softmax=True):
+    """Softmax-consistent probabilities (or, without `softmax`, raw uniform
+    p whose pixels need not sum to 1) and one-hot ground truth."""
     rng = Rng(seed)
-    logits = rng.normal(shape)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    if softmax:
+        logits = rng.normal(shape)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+    else:
+        p = rng.uniform(shape)
     labels = rng.child(1).integers(0, shape[1], (shape[0], shape[2], shape[3]))
     r = np.zeros(shape)
     np.put_along_axis(r, labels[:, None], 1.0, axis=1)
@@ -182,17 +186,19 @@ def test_dice_perfect_prediction_near_zero():
 
 def test_identity_single_image_bitwise():
     # with one image there is nothing to pool, so batch pooling must be a
-    # no-op: identical bits in both value and gradient, for every config
-    p, r = random_pair(21, shape=(1, 4, 5, 5))
-    for mode in ("joint", "per_label_mean"):
-        for bg in (True, False):
-            for eps in (1e-5, 1e-9, 0.0):
-                sd = compute_loss(p, r, LossConfig(kind="sd", dice_label_mode=mode,
-                                                   include_background=bg, epsilon=eps))
-                bsd = compute_loss(p, r, LossConfig(kind="bsd", dice_label_mode=mode,
-                                                    include_background=bg, epsilon=eps))
-                assert sd.value == bsd.value
-                assert np.array_equal(sd.grad_p, bsd.grad_p)
+    # no-op: identical bits in both value and gradient, for every config,
+    # whether or not p is softmax-consistent
+    for p, r in (random_pair(21, shape=(1, 4, 5, 5)),
+                 random_pair(864, shape=(1, 3, 4, 4), softmax=False)):
+        for mode in ("joint", "per_label_mean"):
+            for bg in (True, False):
+                for eps in (1e-5, 1e-9, 0.0):
+                    sd = compute_loss(p, r, LossConfig(kind="sd", dice_label_mode=mode,
+                                                       include_background=bg, epsilon=eps))
+                    bsd = compute_loss(p, r, LossConfig(kind="bsd", dice_label_mode=mode,
+                                                        include_background=bg, epsilon=eps))
+                    assert sd.value == bsd.value
+                    assert np.array_equal(sd.grad_p, bsd.grad_p)
 
 
 def test_identity_joint_mode_eps_zero():
@@ -320,8 +326,9 @@ def test_validation_errors():
         compute_loss(p[0], r[0], LossConfig(kind="ce"))     # rank 3
     with pytest.raises(ValidationError):
         LossConfig(kind="dice")
-    with pytest.raises(ValidationError):
-        LossConfig(epsilon=-1e-9)
+    for eps in (-1e-9, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            LossConfig(epsilon=eps)
     with pytest.raises(ValidationError):
         LossConfig(dice_label_mode="mean")
     with pytest.raises(ValidationError):

@@ -18,13 +18,16 @@ def tiny(num_labels=3, depth=1, base=2, patch=8, seed=0):
 def test_unit_channels_default_topology():
     cfg = ModelConfig(num_labels=7)      # depth 2, base 16
     ch = model._unit_channels(cfg)
-    assert ch == {
+    want = {
         "enc0.u0": (1, 16), "enc0.u1": (16, 16),
         "enc1.u0": (16, 32), "enc1.u1": (32, 32),
         "mid.u0": (32, 64), "mid.u1": (64, 64),
         "dec1.u0": (96, 32), "dec1.u1": (32, 32),
         "dec0.u0": (48, 16), "dec0.u1": (16, 16),
     }
+    assert ch == want
+    # forward execution order, which unit_names and build_model follow
+    assert list(ch) == list(want) == build_model(cfg, Rng(0)).unit_names()
 
 
 @pytest.mark.parametrize("depth,patch", [(1, 8), (2, 16), (3, 16)])

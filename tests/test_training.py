@@ -92,8 +92,11 @@ def test_adam_rejects_non_finite_gradient():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValidationError):
-        fast_cfg(learning_rate=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            fast_cfg(learning_rate=bad)
+        with pytest.raises(ValidationError):
+            fast_cfg(adam_eps=bad)
     with pytest.raises(ValidationError):
         fast_cfg(adam_beta1=1.0)
     with pytest.raises(ValidationError):
