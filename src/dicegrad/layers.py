@@ -45,29 +45,47 @@ class LayerParams:
 def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Same-size 3x3 cross-correlation of `x` [B,Cin,H,W] with `taps` [Cout,Cin,3,3].
 
-    Computed per batch item as a single GEMM against the zero-padded input
-    followed by nine shifted accumulations:
+    Computed per batch item as one GEMM per kernel tap (u,v) against a
+    shifted window of the flattened, zero-padded plane xf [Cin, Hp*Wp + 2]:
 
-        P[(u,v,o), m, n] = sum_c taps[o,c,u,v] * xpad[c,m,n]
-        y[o,i,j]         = sum_{u,v} P[(u,v,o), i+u, j+v]
+        A[o, i*Wp + j] = sum_{u,v} sum_c taps[o,c,u,v] * xf[c, u*Wp + v + i*Wp + j]
+        y[o,i,j]       = A[o, i*Wp + j]   for j < W
 
-    This keeps every GEMM at a BLAS-friendly shape and touches each padded
-    pixel once, instead of materializing an im2col matrix.
+    Because a row of the window is Wp wide, output columns j >= W wrap into
+    the next padded row; they are computed and cropped.  The two-element
+    tail lets the last tap's window run past the final padded row.
+
+    Each output element is the same BLAS dot product over Cin as in a single
+    [9*Cout, Cin] x [Cin, Hp*Wp] GEMM, and the taps are summed in the same
+    row-major order, so the result is bitwise that of the nine-shift form;
+    the working set per GEMM is one [Cout, H*Wp] accumulator instead of the
+    [9*Cout, Hp*Wp] product.
     """
     B, C, H, W = x.shape
     O = taps.shape[0]
     Hp, Wp = H + 2 * PAD, W + 2 * PAD
-    xpad = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    taps_mat = np.ascontiguousarray(taps.transpose(2, 3, 0, 1)).reshape(9 * O, C)
+    n = H * Wp
+    # Contiguous [rows, Cin] per tap, as a strided slice would not reach BLAS.
+    # numpy sends a one-row product to gemv, whose dot order differs from
+    # gemm's, so a zero second row keeps Cout = 1 on gemm too.
+    rows = max(O, 2)
+    tap_mats = np.zeros((3, 3, rows, C))
+    tap_mats[:, :, :O] = taps.transpose(2, 3, 0, 1)
+    xf = np.zeros((C, Hp * Wp + 2))
+    interior = xf[:, :Hp * Wp].reshape(C, Hp, Wp)[:, PAD:PAD + H, PAD:PAD + W]
+    acc = np.empty((rows, n))
+    part = np.empty((rows, n))
     y = np.empty((B, O, H, W))
     for b in range(B):
-        p = (taps_mat @ xpad[b].reshape(C, Hp * Wp)).reshape(3, 3, O, Hp, Wp)
-        yb = y[b]
-        yb[:] = p[0, 0, :, 0:H, 0:W]
+        interior[:] = x[b]
+        np.matmul(tap_mats[0, 0], xf[:, :n], out=acc)
         for u in range(3):
             for v in range(3):
                 if u or v:
-                    yb += p[u, v, :, u:u + H, v:v + W]
+                    off = u * Wp + v
+                    np.matmul(tap_mats[u, v], xf[:, off:off + n], out=part)
+                    acc += part
+        y[b] = acc[:O].reshape(O, H, Wp)[:, :, :W]
     return y
 
 
@@ -83,19 +101,20 @@ def conv2d(x: np.ndarray, p: LayerParams):
     return y, (x, w)
 
 
-def conv2d_backward(cache, dy: np.ndarray):
+def conv2d_backward(cache, dy: np.ndarray, need_dx: bool = True):
     """Gradients of conv2d with respect to input, weights, and bias.
 
     dx is the correlation of dy with the spatially flipped, channel-transposed
     kernel; dW accumulates, per tap (u,v), the inner product of dy with the
-    correspondingly shifted padded input.
+    correspondingly shifted padded input.  With `need_dx` false, dx is None
+    and its correlation is skipped (the network input needs no gradient).
     """
     x, w = cache
     B, C, H, W = x.shape
     O = w.shape[0]
     Hp, Wp = H + 2 * PAD, W + 2 * PAD
 
-    dx = _corr3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    dx = _corr3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_dx else None
     db = dy.sum(axis=(0, 2, 3))
 
     xpad = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
@@ -131,17 +150,23 @@ def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
         if m < 2:
             raise SizeError(f"batch-norm needs >= 2 values per channel, got {m}")
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        xhat = x - mean[None, :, None, None]
+        y = np.square(xhat)
+        # The same squares, sum and division as np.var: bitwise its result.
+        var = y.sum(axis=(0, 2, 3)) / m
         ivar = 1.0 / np.sqrt(var + p.bn_eps)
-        xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
-        y = p.bn_gamma[None, :, None, None] * xhat + p.bn_beta[None, :, None, None]
+        xhat *= ivar[None, :, None, None]
+        np.multiply(p.bn_gamma[None, :, None, None], xhat, out=y)
+        y += p.bn_beta[None, :, None, None]
         p.bn_running_mean = (1.0 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
         p.bn_running_var = (1.0 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * var
         return y, (xhat, ivar, p.bn_gamma, m)
     if mode == "eval":
         ivar = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
-        xhat = (x - p.bn_running_mean[None, :, None, None]) * ivar[None, :, None, None]
-        y = p.bn_gamma[None, :, None, None] * xhat + p.bn_beta[None, :, None, None]
+        y = x - p.bn_running_mean[None, :, None, None]
+        y *= ivar[None, :, None, None]
+        y *= p.bn_gamma[None, :, None, None]
+        y += p.bn_beta[None, :, None, None]
         return y, None
     raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
@@ -158,9 +183,13 @@ def batchnorm_backward(cache, dy: np.ndarray):
         raise StateError("batchnorm_backward requires a train-mode cache")
     xhat, ivar, gamma, m = cache
     dbeta = dy.sum(axis=(0, 2, 3))
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    coeff = (gamma * ivar / m)[None, :, None, None]
-    dx = coeff * (m * dy - dbeta[None, :, None, None] - xhat * dgamma[None, :, None, None])
+    t = dy * xhat
+    dgamma = t.sum(axis=(0, 2, 3))
+    np.multiply(xhat, dgamma[None, :, None, None], out=t)
+    dx = m * dy
+    dx -= dbeta[None, :, None, None]
+    dx -= t
+    dx *= (gamma * ivar / m)[None, :, None, None]
     return dx, dgamma, dbeta
 
 

@@ -133,11 +133,11 @@ def _unit_forward(x, u: layers.LayerParams, mode: str):
     return y, (c_conv, c_bn, c_relu)
 
 
-def _unit_backward(cache, dy, grads: dict, name: str):
+def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
     c_conv, c_bn, c_relu = cache
     dy = layers.relu_backward(c_relu, dy)
     dy, dgamma, dbeta = layers.batchnorm_backward(c_bn, dy)
-    dx, dw, db = layers.conv2d_backward(c_conv, dy)
+    dx, dw, db = layers.conv2d_backward(c_conv, dy, need_dx=need_dx)
     grads[f"{name}.weights"] = dw
     grads[f"{name}.bias"] = db
     grads[f"{name}.gamma"] = dgamma
@@ -217,7 +217,9 @@ def backward(m: SegModel, caches, grad_p: np.ndarray) -> dict[str, np.ndarray]:
         dy = layers.maxpool2_backward(caches["pool"][d], dy)
         dy = dy + dskips[d]
         for un in (f"enc{d}.u1", f"enc{d}.u0"):
-            dy = _unit_backward(caches["units"][un], dy, grads, un)
+            # Nothing reads the gradient of the network input.
+            dy = _unit_backward(caches["units"][un], dy, grads, un,
+                                need_dx=un != "enc0.u0")
     return grads
 
 

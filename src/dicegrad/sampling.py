@@ -114,9 +114,14 @@ def _extract_patch(vol: LabeledVolume, z: int, y0: int, x0: int, patch: int,
     xs = slice(x0, min(x0 + patch, width))
     img[:ys.stop - y0, :xs.stop - x0] = vol.intensities[z, ys, xs]
     lab[:ys.stop - y0, :xs.stop - x0] = vol.labels[z, ys, xs]
-    onehot = np.zeros((num_labels, patch, patch))
+    return img, _one_hot(lab, num_labels)
+
+
+def _one_hot(lab: np.ndarray, num_labels: int) -> np.ndarray:
+    """[P, P] integer label map -> [num_labels, P, P] float one-hot."""
+    onehot = np.zeros((num_labels,) + lab.shape)
     np.put_along_axis(onehot, lab[None], 1.0, axis=0)
-    return img, onehot
+    return onehot
 
 
 def _flip(img, onehot):
@@ -146,11 +151,10 @@ def _elastic(img, onehot, rng: Rng, sigma: float, alpha: float):
                          np.arange(patch, dtype=float), indexing="ij")
     coords = np.stack([ys + disp_y, xs + disp_x])
     out_img = ndimage.map_coordinates(img, coords, order=1, mode="nearest")
-    out_hot = np.stack([
-        ndimage.map_coordinates(ch, coords, order=0, mode="nearest")
-        for ch in onehot
-    ])
-    return out_img, out_hot
+    # `onehot` is one-hot at every pixel, so nearest-neighbour resampling of
+    # its label map and of each channel pick the same labels.
+    lab = ndimage.map_coordinates(onehot.argmax(axis=0), coords, order=0, mode="nearest")
+    return out_img, _one_hot(lab, onehot.shape[0])
 
 
 def augment(img: np.ndarray, onehot: np.ndarray, rng: Rng, cfg: SamplerConfig):

@@ -1,9 +1,14 @@
 """Import graph: the loss and checkpoint modules load without the modules
-that use them."""
+that use them; the test process runs BLAS on one thread."""
 
+import ctypes
+import glob
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 import dicegrad
 from dicegrad.checkpoint import save_checkpoint
@@ -37,3 +42,15 @@ def test_leaf_modules_do_not_load_their_users(tmp_path):
               "_, state = load_checkpoint(sys.argv[1])\n"
               "assert state is not None and state.step == 5\n"
               "assert 'dicegrad.training' not in sys.modules", path)
+
+
+def test_blas_runs_one_thread():
+    # tests/conftest.py pins the pools before numpy loads; read the count the
+    # library actually uses, through numpy's bundled scipy-openblas.
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas64_*")))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    get_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    assert get_threads() == 1

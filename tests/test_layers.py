@@ -1,4 +1,7 @@
-"""Layer kernels against naive scalar-loop oracles and finite differences."""
+"""Layer kernels against naive scalar-loop oracles, finite differences, and
+bitwise against the reference kernels they replaced."""
+
+import types
 
 import numpy as np
 import pytest
@@ -190,3 +193,176 @@ def test_softmax_extreme_logits_stable():
 def test_softmax_gradients():
     res = gradcheck.check_softmax()
     assert all(err < 1e-6 for err in res.values()), res
+
+
+# ---------------------------------------------------------------------------
+# Bitwise regression: the nine-shift conv and the temporary-heavy batch norm
+# ---------------------------------------------------------------------------
+
+def nine_shift_corr3x3(x, taps):
+    """Reference correlation: one [9*Cout, Cin] GEMM per batch item against
+    the padded input, then nine shifted accumulations in row-major tap order."""
+    B, C, H, W = x.shape
+    O = taps.shape[0]
+    Hp, Wp = H + 2, W + 2
+    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps_mat = np.ascontiguousarray(taps.transpose(2, 3, 0, 1)).reshape(9 * O, C)
+    y = np.empty((B, O, H, W))
+    for b in range(B):
+        p = (taps_mat @ xpad[b].reshape(C, Hp * Wp)).reshape(3, 3, O, Hp, Wp)
+        yb = y[b]
+        yb[:] = p[0, 0, :, 0:H, 0:W]
+        for u in range(3):
+            for v in range(3):
+                if u or v:
+                    yb += p[u, v, :, u:u + H, v:v + W]
+    return y
+
+
+def reference_conv_backward(x, w, dy):
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    dx = nine_shift_corr3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dw_mat = np.zeros((9 * O, C))
+    buf = np.zeros((3, 3, O, H + 2, W + 2))
+    for b in range(B):
+        for u in range(3):
+            for v in range(3):
+                buf[u, v, :, u:u + H, v:v + W] = dy[b]
+        dw_mat += buf.reshape(9 * O, -1) @ xpad[b].reshape(C, -1).T
+    return dx, dw_mat.reshape(3, 3, O, C).transpose(2, 3, 0, 1), dy.sum(axis=(0, 2, 3))
+
+
+def reference_batchnorm_train(x, gamma, beta, eps):
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * ivar[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], mean, var
+
+
+def reference_batchnorm_eval(x, p):
+    ivar = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
+    xhat = (x - p.bn_running_mean[None, :, None, None]) * ivar[None, :, None, None]
+    return p.bn_gamma[None, :, None, None] * xhat + p.bn_beta[None, :, None, None]
+
+
+def reference_batchnorm_backward(x, gamma, eps, dy):
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    ivar = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + eps)
+    xhat = (x - x.mean(axis=(0, 2, 3))[None, :, None, None]) * ivar[None, :, None, None]
+    dbeta = dy.sum(axis=(0, 2, 3))
+    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    coeff = (gamma * ivar / m)[None, :, None, None]
+    dx = coeff * (m * dy - dbeta[None, :, None, None] - xhat * dgamma[None, :, None, None])
+    return dx, dgamma, dbeta
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# (batch, in channels, out channels, height, width): one input channel, one
+# output channel (each a one-row product in one of the two correlations),
+# odd and non-square planes, batch 1, and the study's largest dX shape.
+BITWISE_SHAPES = [(2, 1, 3, 8, 8), (2, 3, 1, 8, 8), (1, 1, 1, 5, 5), (2, 3, 4, 5, 5),
+                  (3, 2, 5, 5, 7), (1, 4, 3, 6, 6), (2, 27, 9, 64, 64)]
+
+
+@pytest.mark.parametrize("shape", BITWISE_SHAPES)
+def test_conv_bitwise_equals_nine_shift_reference(shape):
+    B, C, O, H, W = shape
+    rng = Rng(51)
+    x = rng.child(0).normal((B, C, H, W))
+    p = _conv_params(rng.child(1), C, O)
+    dy = rng.child(2).normal((B, O, H, W))
+    y, cache = layers.conv2d(x, p)
+    assert _same_bits(y, nine_shift_corr3x3(x, p.weights) + p.bias[None, :, None, None])
+    got = layers.conv2d_backward(cache, dy)
+    want = reference_conv_backward(x, p.weights, dy)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", BITWISE_SHAPES)
+def test_batchnorm_bitwise_equals_reference(shape):
+    B, _, C, H, W = shape
+    rng = Rng(52)
+    x = rng.child(0).normal((B, C, H, W), mean=0.5, std=2.0)
+    dy = rng.child(1).normal((B, C, H, W))
+    p = layers.LayerParams(bn_gamma=rng.child(2).normal((C,)), bn_beta=rng.child(3).normal((C,)),
+                           bn_running_mean=rng.child(4).normal((C,)),
+                           bn_running_var=rng.child(5).uniform((C,), 0.5, 2.0))
+    want_eval = reference_batchnorm_eval(x, p)
+    y, _ = layers.batchnorm(x, p, "eval")
+    assert _same_bits(y, want_eval)
+    rm, rv = p.bn_running_mean, p.bn_running_var
+    want_y, mean, var = reference_batchnorm_train(x, p.bn_gamma, p.bn_beta, p.bn_eps)
+    y, cache = layers.batchnorm(x, p, "train")
+    assert _same_bits(y, want_y)
+    mom = p.bn_momentum
+    assert _same_bits(p.bn_running_mean, (1.0 - mom) * rm + mom * mean)
+    assert _same_bits(p.bn_running_var, (1.0 - mom) * rv + mom * var)
+    got = layers.batchnorm_backward(cache, dy)
+    want = reference_batchnorm_backward(x, p.bn_gamma, p.bn_eps, dy)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+def test_conv_backward_without_input_gradient():
+    rng = Rng(53)
+    x = rng.normal((2, 3, 6, 6))
+    p = _conv_params(rng.child(1), 3, 4)
+    dy = rng.child(2).normal((2, 4, 6, 6))
+    _, cache = layers.conv2d(x, p)
+    dx, dw, db = layers.conv2d_backward(cache, dy)
+    no_dx, dw2, db2 = layers.conv2d_backward(cache, dy, need_dx=False)
+    assert dx is not None and no_dx is None
+    assert _same_bits(dw2, dw) and _same_bits(db2, db)
+
+
+# ---------------------------------------------------------------------------
+# Layers never write into the arrays they are given
+# ---------------------------------------------------------------------------
+
+def _arrays(obj):
+    """Every array reachable from one argument: the array itself, the items
+    of a cache tuple, or the fields of a LayerParams."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    if isinstance(obj, layers.LayerParams):
+        return [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    return []
+
+
+def test_layers_never_write_their_inputs():
+    called = set()
+
+    def call(fn, *args):
+        arrays = [a for arg in args for a in _arrays(arg)]
+        before = [a.copy() for a in arrays]
+        out = fn(*args)
+        for a, b in zip(arrays, before):
+            assert _same_bits(a, b), fn.__name__
+        called.add(fn.__name__)
+        return out
+
+    rng = Rng(54)
+    x = rng.child(0).normal((2, 3, 6, 6))
+    dy = rng.child(1).normal((2, 3, 6, 6))
+    p = layers.LayerParams(weights=rng.child(2).normal((3, 3, 3, 3)), bias=rng.child(3).normal((3,)),
+                           bn_gamma=rng.child(4).normal((3,)), bn_beta=rng.child(5).normal((3,)),
+                           bn_running_mean=np.zeros(3), bn_running_var=np.ones(3))
+    _, cache = call(layers.conv2d, x, p)
+    call(layers.conv2d_backward, cache, dy)
+    call(layers.conv2d_backward, cache, dy, False)
+    call(layers.batchnorm, x, p, "eval")
+    _, cache = call(layers.batchnorm, x, p, "train")
+    call(layers.batchnorm_backward, cache, dy)
+    for op in (layers.relu, layers.maxpool2, layers.bilinear_up2, layers.softmax):
+        y, cache = call(op, x)
+        call(getattr(layers, f"{op.__name__}_backward"), cache, np.ones_like(y))
+    ops = {name for name, f in vars(layers).items() if isinstance(f, types.FunctionType)
+           and f.__module__ == layers.__name__ and not name.startswith("_")}
+    assert called == ops

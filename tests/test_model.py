@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dicegrad import model
+from dicegrad import layers, model
 from dicegrad.errors import ConfigError, SizeError, StateError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
@@ -111,6 +111,33 @@ def test_backward_covers_every_parameter():
     for name, g in grads.items():
         assert g.shape == params[name].shape, name
         assert np.isfinite(g).all(), name
+
+
+def test_backward_skips_only_the_input_gradient(monkeypatch):
+    # Only enc0.u0 (the last of the 11 conv backward calls) skips dx, and
+    # every gradient is bitwise that of a backward computing every dx.
+    x = Rng(6).normal((2, 1, 8, 8))
+    g = Rng(7).normal((2, 3, 8, 8), std=0.1)
+    inner = layers.conv2d_backward
+
+    def grads_with(wrapper):
+        monkeypatch.setattr(layers, "conv2d_backward", wrapper)
+        m = tiny(depth=2, patch=8)
+        _, caches = model.forward(m, x, mode="train")
+        return model.backward(m, caches, g)
+
+    asked = []
+
+    def recording(cache, dy, need_dx=True):
+        asked.append(need_dx)
+        return inner(cache, dy, need_dx=need_dx)
+
+    grads = grads_with(recording)
+    assert asked == [True] * 10 + [False]
+    full = grads_with(lambda cache, dy, need_dx=True: inner(cache, dy))
+    assert grads.keys() == full.keys()
+    for name, gr in grads.items():
+        assert gr.tobytes() == full[name].tobytes(), name
 
 
 def test_forward_rejects_wrong_shape():

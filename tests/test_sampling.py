@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from dicegrad import sampling
 from dicegrad.errors import SamplingError, ValidationError
@@ -184,6 +185,36 @@ def test_elastic_zero_alpha_identity_and_onehot_preserved():
     assert not np.array_equal(warped_img, img)
     assert np.isin(warped_hot, (0.0, 1.0)).all()
     assert (warped_hot.sum(axis=0) == 1.0).all()
+
+
+def per_channel_elastic(img, onehot, rng, sigma, alpha):
+    """Reference: the same displacement field, with each one-hot channel
+    resampled by its own nearest-neighbour pass."""
+    patch = img.shape[0]
+    disp_y = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
+    disp_x = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
+    ys, xs = np.meshgrid(np.arange(patch, dtype=float),
+                         np.arange(patch, dtype=float), indexing="ij")
+    coords = np.stack([ys + disp_y, xs + disp_x])
+    out_img = ndimage.map_coordinates(img, coords, order=1, mode="nearest")
+    out_hot = np.stack([ndimage.map_coordinates(ch, coords, order=0, mode="nearest")
+                        for ch in onehot])
+    return out_img, out_hot
+
+
+def test_elastic_bitwise_equals_per_channel_reference():
+    for seed in range(50):
+        rng = Rng(900 + seed)
+        img = rng.child(0).normal((32, 32))
+        lab = rng.child(1).integers(0, 7, (32, 32))
+        lab[8:20, 10:24] = seed % 7          # a block, as organs are
+        onehot = np.zeros((7, 32, 32))
+        np.put_along_axis(onehot, lab[None], 1.0, axis=0)
+        alpha = 1.0 + seed % 5
+        got = sampling._elastic(img, onehot, rng.child(2), 4.0, alpha)
+        want = per_channel_elastic(img, onehot, rng.child(2), 4.0, alpha)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), seed
 
 
 def test_augment_deterministic_per_stream():
