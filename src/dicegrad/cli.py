@@ -195,18 +195,20 @@ def cmd_eval(args) -> int:
             fh.write(f"{case_id},{label},{dsc:.17g},{asd_s},{flags}\n")
     with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("label,cases,dsc_mean,dsc_std,asd_mean,asd_std,absent_cases\n")
+        fh.write("label,cases,dsc_mean,dsc_std,asd_mean,asd_std,absent_cases,"
+                 "pred_empty_cases\n")
         for label in range(1, num_labels):
             sub = [r for r in rows if r[1] == label]
             dsc_mean, dsc_std = _format_stat([r[2] for r in sub])
             asd_mean, asd_std = _format_stat([r[3] for r in sub])
             absent = sum(1 for r in sub if r[4])
+            pred_empty = sum(1 for r in sub if "pred_empty" in r[4].split(";"))
             fh.write(f"{label},{len(sub)},{dsc_mean},{dsc_std},"
-                     f"{asd_mean},{asd_std},{absent}\n")
+                     f"{asd_mean},{asd_std},{absent},{pred_empty}\n")
             dm = float(dsc_mean) if dsc_mean else float("nan")
             am = float(asd_mean) if asd_mean else float("nan")
             print(f"label {label}: DSC {100 * dm:6.1f} %   ASD {am:7.3f} mm   "
-                  f"({len(sub)} cases, {absent} flagged)")
+                  f"({len(sub)} cases, {absent} flagged, {pred_empty} predicted empty)")
     print(f"wrote metrics for {len(refs)} cases to {args.out}")
     return EXIT_OK
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dicegrad import cli, gradcheck
+from dicegrad import checkpoint, cli, gradcheck
 
 
 TINY = [
@@ -173,12 +173,17 @@ def test_eval_self_test_is_perfect(tmp_path, capsys):
         assert flags == ""
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert len(summary) == 1 + 6
+    assert summary[0] == ("label,cases,dsc_mean,dsc_std,asd_mean,asd_std,"
+                          "absent_cases,pred_empty_cases")
     for row in summary[1:]:
-        label, cases, dsc_mean, dsc_std, asd_mean, asd_std, absent = row.split(",")
+        (label, cases, dsc_mean, dsc_std, asd_mean, asd_std, absent,
+         pred_empty) = row.split(",")
         assert (float(dsc_mean), float(dsc_std)) == (1.0, 0.0)
         assert (float(asd_mean), float(asd_std)) == (0.0, 0.0)
-        assert (cases, absent) == ("3", "0")
-    assert "DSC  100.0 %" in capsys.readouterr().out
+        assert (cases, absent, pred_empty) == ("3", "0", "0")
+    out = capsys.readouterr().out
+    assert "DSC  100.0 %" in out
+    assert "0 predicted empty" in out
 
 
 def test_eval_with_checkpoint(tmp_path):
@@ -191,9 +196,31 @@ def test_eval_with_checkpoint(tmp_path):
     assert rc == cli.EXIT_OK
     rows = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert len(rows) == 1 + 3 * 6
+    pred_empty = dict.fromkeys(range(1, 7), 0)
     for row in rows[1:]:
-        dsc = float(row.split(",")[2])
-        assert 0.0 <= dsc <= 1.0
+        _, label, dsc, _, flags = row.split(",")
+        assert 0.0 <= float(dsc) <= 1.0
+        pred_empty[int(label)] += "pred_empty" in flags.split(";")
+    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    assert summary[0].endswith(",absent_cases,pred_empty_cases")
+    got = {int(r.split(",")[0]): int(r.split(",")[-1]) for r in summary[1:]}
+    assert got == pred_empty
+
+
+def test_eval_counts_empty_predictions(tmp_path, capsys):
+    data = gen(tmp_path)
+    run = str(tmp_path / "run")
+    assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
+    m, state = checkpoint.load_checkpoint(os.path.join(run, "final.dgrd"))
+    m.final.bias[0] = 1e6                # every voxel predicted background
+    ckpt = os.path.join(run, "background.dgrd")
+    checkpoint.save_checkpoint(m, state, ckpt)
+    out = str(tmp_path / "eval")
+    assert cli.main(["eval", "--data", data, "--out", out,
+                     "--checkpoint", ckpt]) == cli.EXIT_OK
+    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    assert [r.split(",")[-2:] for r in summary[1:]] == [["3", "3"]] * 6
+    assert capsys.readouterr().out.count("3 flagged, 3 predicted empty") == 6
 
 
 def test_eval_needs_checkpoint_or_self_test(tmp_path):
