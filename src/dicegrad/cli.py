@@ -6,21 +6,13 @@ Exit codes: 0 success, 1 failed numeric checks, 2 configuration problems,
 
 DICEGRAD_THREADS caps worker parallelism for the comparison command
 (default 1, which keeps every output bitwise reproducible); a value that
-is not a positive integer is a configuration error.  BLAS thread
-pools are pinned to one thread unless the caller already set them, for the
-same reason.
+is not a positive integer is a configuration error.
 """
 
 from __future__ import annotations
 
-import os
-
-# Pin BLAS threading before numpy is first imported so runs are bitwise
-# reproducible by default; explicit user settings win.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
+import os
 import sys
 
 import numpy as np

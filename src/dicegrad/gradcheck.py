@@ -200,14 +200,14 @@ def check_model_end_to_end(seed: int = 23) -> float:
         # Pin running stats so repeated train-mode forwards see one state.
         saved = {n: (u.bn_running_mean.copy(), u.bn_running_var.copy())
                  for n, u in m.units.items()}
-        p, caches = model.forward(m, x, mode="train")
+        p, tape = model.forward(m, x, mode="train")
         for n, u in m.units.items():
             u.bn_running_mean[:], u.bn_running_var[:] = saved[n]
-        return p, caches
+        return p, tape
 
-    p, caches = run()
+    p, tape = run()
     res = losses.compute_loss(p, r, lcfg)
-    grads = model.backward(m, caches, res.grad_p)
+    grads = model.backward(m, tape, res.grad_p)
 
     worst = 0.0
     table = m.param_table()

@@ -6,9 +6,11 @@ upsampling, channel concat with the matching encoder output, two units).
 A final 3x3 convolution maps to `num_labels` channels and a per-pixel
 softmax turns the scores into label probabilities.
 
-The backward pass replays the layer backward functions in reverse order,
-splitting the gradient at each skip concat between the upsampling path and
-the encoder output it was joined with.
+A train-mode forward records a tape, one (kind, key, cache) entry per unit,
+pooling, upsampling and the head, in execution order.  The backward pass
+pops the entries and replays the matching layer backward functions, so the
+topology is written once; it splits the gradient at each skip concat
+between the upsampling path and the encoder output it was joined with.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import layers
 from .errors import ConfigError, SizeError, StateError
-from .tensor_core import Rng, concat_channels
+from .tensor_core import Rng
 
 
 @dataclass
@@ -48,7 +50,6 @@ class SegModel:
     cfg: ModelConfig
     units: dict[str, layers.LayerParams] = field(default_factory=dict)
     final: layers.LayerParams | None = None
-    mode: str = "train"
 
     def unit_names(self) -> list[str]:
         """Conv-BN-ReLU unit names in forward execution order."""
@@ -145,81 +146,79 @@ def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
     return dx
 
 
-def forward(m: SegModel, x: np.ndarray, mode: str | None = None):
-    """Run the network on a batch [I, in_channels, P, P].
+def _stage(m: SegModel, stage: str, h, mode: str, tape: list):
+    """The stage's two units in order, each recorded on the tape."""
+    for un in (f"{stage}.u0", f"{stage}.u1"):
+        h, cache = _unit_forward(h, m.units[un], mode)
+        tape.append(("unit", un, cache))
+    return h
 
-    Returns (probabilities [I, L, P, P], caches); caches is None in eval
-    mode and must be handed unchanged to `backward` in train mode.
+
+def forward(m: SegModel, x: np.ndarray, mode: str):
+    """Run the network on a batch [I, in_channels, P, P] in mode "train" or "eval".
+
+    Returns (probabilities [I, L, P, P], tape); the tape, the (kind, key,
+    cache) entries in execution order, is None in eval mode and must be
+    handed unchanged to `backward` in train mode.
     """
-    mode = m.mode if mode is None else mode
     cfg = m.cfg
     p_sz = cfg.patch_size
     if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != (p_sz, p_sz):
         raise SizeError(
             f"expected input [I, {cfg.in_channels}, {p_sz}, {p_sz}], got {x.shape}"
         )
-    caches = {"units": {}, "pool": [], "up": [], "split": []}
+    tape = []
     h = x
     skips = []
     for d in range(cfg.depth):
-        for un in (f"enc{d}.u0", f"enc{d}.u1"):
-            h, caches["units"][un] = _unit_forward(h, m.units[un], mode)
+        h = _stage(m, f"enc{d}", h, mode, tape)
         skips.append(h)
         h, c = layers.maxpool2(h)
-        caches["pool"].append(c)
-    for un in ("mid.u0", "mid.u1"):
-        h, caches["units"][un] = _unit_forward(h, m.units[un], mode)
+        tape.append(("pool", d, c))
+    h = _stage(m, "mid", h, mode, tape)
     for d in reversed(range(cfg.depth)):
         h, c = layers.bilinear_up2(h)
-        caches["up"].append(c)
-        caches["split"].append(h.shape[1])
-        h = concat_channels(h, skips[d])
-        for un in (f"dec{d}.u0", f"dec{d}.u1"):
-            h, caches["units"][un] = _unit_forward(h, m.units[un], mode)
+        tape.append(("up", d, (c, h.shape[1])))     # where the concat's gradient splits
+        h = np.concatenate([h, skips[d]], axis=1)
+        h = _stage(m, f"dec{d}", h, mode, tape)
     scores, c_head = layers.conv2d(h, m.final)
     p, c_soft = layers.softmax(scores)
-    caches["head"] = c_head
-    caches["soft"] = c_soft
-    if mode != "train":
-        return p, None
-    return p, caches
+    tape.append(("head", "head", (c_head, c_soft)))
+    return p, (tape if mode == "train" else None)
 
 
-def backward(m: SegModel, caches, grad_p: np.ndarray) -> dict[str, np.ndarray]:
+def backward(m: SegModel, tape, grad_p: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate d(loss)/d(probabilities) to every trainable parameter.
 
-    Consumes the caches: a second call with the same caches raises, since
-    they no longer correspond to the parameters after an optimizer step.
+    Pops the tape's entries and replays them in reverse, so each cache is
+    released once used; a second call with the emptied tape raises, since
+    it no longer corresponds to the parameters after an optimizer step.
     """
-    if caches is None:
-        raise StateError("backward requires caches from a train-mode forward")
-    if caches.get("spent"):
-        raise StateError("caches already consumed by a previous backward")
-    caches["spent"] = True
-    cfg = m.cfg
+    if tape is None:
+        raise StateError("backward requires the tape of a train-mode forward")
+    if not tape:
+        raise StateError("tape already consumed by a previous backward")
     grads: dict[str, np.ndarray] = {}
-
-    dy = layers.softmax_backward(caches["soft"], grad_p)
-    dy, dw, db = layers.conv2d_backward(caches["head"], dy)
-    grads["head.weights"] = dw
-    grads["head.bias"] = db
-
     dskips = {}
-    for k, d in enumerate(range(cfg.depth)):          # decoder, reverse exec order
-        for un in (f"dec{d}.u1", f"dec{d}.u0"):
-            dy = _unit_backward(caches["units"][un], dy, grads, un)
-        n_up = caches["split"][-1 - k]
-        dskips[d] = dy[:, n_up:]
-        dy = layers.bilinear_up2_backward(caches["up"][-1 - k], dy[:, :n_up])
-    for un in ("mid.u1", "mid.u0"):
-        dy = _unit_backward(caches["units"][un], dy, grads, un)
-    for d in reversed(range(cfg.depth)):
-        dy = layers.maxpool2_backward(caches["pool"][d], dy)
-        dy = dy + dskips[d]
-        for un in (f"enc{d}.u1", f"enc{d}.u0"):
-            # Nothing reads the gradient of the network input.
-            dy = _unit_backward(caches["units"][un], dy, grads, un,
-                                need_dx=un != "enc0.u0")
+    dy = grad_p
+    try:
+        while tape:
+            kind, key, cache = tape.pop()
+            if kind == "unit":
+                # The unit popped last reads the network input: skip its dx.
+                dy = _unit_backward(cache, dy, grads, key, need_dx=bool(tape))
+            elif kind == "pool":
+                dy = layers.maxpool2_backward(cache, dy) + dskips.pop(key)
+            elif kind == "up":
+                c_up, n_up = cache
+                dskips[key] = dy[:, n_up:]
+                dy = layers.bilinear_up2_backward(c_up, dy[:, :n_up])
+            else:     # head: (conv, softmax) caches, indexed as a name would keep them alive
+                dy = layers.softmax_backward(cache[1], dy)
+                dy, grads["head.weights"], grads["head.bias"] = \
+                    layers.conv2d_backward(cache[0], dy)
+    finally:
+        tape.clear()      # a replay that failed part way must not be retried
     return grads
 
 

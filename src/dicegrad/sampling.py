@@ -46,6 +46,10 @@ class SamplerConfig:
             raise ValidationError("patch_size >= 4 and batch_size >= 1 required")
         if not 0 <= self.flip_prob <= 1:
             raise ValidationError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
+        for name in ("center_jitter_px", "max_translation_px", "elastic_sigma", "elastic_alpha"):
+            value = getattr(self, name)
+            if not value >= 0:          # NaN too: it would act as 0
+                raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass

@@ -1,17 +1,16 @@
-"""Dense tensor primitives and the deterministic random number source.
+"""The ordered reduction and the deterministic random number source.
 
-Tensors are plain C-contiguous ``numpy`` arrays of ``float64``; the helpers
-here enforce the project-wide conventions (row-major layout, rank-4
-``(batch, channel, height, width)`` for image data, explicit shape checks)
-and give the reductions a documented accumulation order.  Operations return
-new arrays and never mutate their inputs, so values can be shared freely.
+Tensors are plain C-contiguous ``numpy`` arrays of ``float64``, rank-4
+``(batch, channel, height, width)`` for image data.  `reduce_sum` gives
+sums a documented accumulation order and returns a new array; `Rng` is the
+splittable seeded stream every random draw in the project comes from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AxisError, SizeError
+from .errors import AxisError
 
 Tensor = np.ndarray
 
@@ -41,15 +40,6 @@ def reduce_sum(t: Tensor, axes=None) -> Tensor:
     # cumsum is defined as the sequential recurrence r[i] = r[i-1] + x[i],
     # which pins the accumulation order.
     return np.cumsum(flat, axis=-1)[..., -1]
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Join two rank-4 (B, C, H, W) tensors along the channel axis, `a` first."""
-    if a.ndim != 4 or b.ndim != 4:
-        raise SizeError(f"expected rank-4 operands, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise SizeError(f"batch/spatial mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
 
 
 class Rng:

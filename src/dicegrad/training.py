@@ -118,11 +118,11 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
     for t in range(state.step, cfg.steps):
         batch = sampling.sample_balanced_batch(dataset, cfg.sampler, sampler_rng,
                                                start_index=t * batch_size)
-        p, caches = model_mod.forward(m, batch.images, "train")
+        p, tape = model_mod.forward(m, batch.images, "train")
         res = compute_loss(p, batch.onehot, cfg.loss)
         if not np.isfinite(res.value):
             raise NumericError(f"loss became non-finite at step {t}")
-        grads = model_mod.backward(m, caches, res.grad_p)
+        grads = model_mod.backward(m, tape, res.grad_p)
         adam_step(params, grads, state, cfg)
         record.losses.append((t, res.value))
         done = t + 1
@@ -234,6 +234,16 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
     """Train every (loss, seed) cell, evaluate on the shared holdout, and
     summarize whether batch-pooled Dice wins on the small structures."""
+    # Checked before any cell trains: a repeat would train one cell but count
+    # it twice, and a label outside the foreground has no DSC to average.
+    for key in ("losses", "seeds", "small_labels"):
+        values = getattr(cmp_cfg, key)
+        if len(set(values)) != len(values):
+            raise ValidationError(f"compare.{key} repeats an entry: {values}")
+    for label in cmp_cfg.small_labels:
+        if not 1 <= label < model_cfg.num_labels:
+            raise ValidationError(f"compare.small_labels entry {label} is outside the "
+                                  f"foreground labels [1, {model_cfg.num_labels})")
     os.makedirs(out_dir, exist_ok=True)
     cells = [(kind, seed) for kind in cmp_cfg.losses for seed in cmp_cfg.seeds]
     jobs = {}

@@ -129,6 +129,15 @@ def test_train_bad_adam_eps_is_config_error(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["sampler.max_translation_px=-3",
+                                     "sampler.elastic_alpha=-4"])
+def test_train_negative_sampler_value_is_config_error(tmp_path, setting):
+    # the config is validated before the (missing) dataset is read
+    rc = cli.main(["train", "--data", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "out")] + TINY + ["--set", setting])
+    assert rc == cli.EXIT_CONFIG
+
+
 def test_train_resume_matches_uninterrupted(tmp_path):
     data = gen(tmp_path)
     args = TINY + ["--set", "train.steps=4", "--set", "train.checkpoint_every=2"]
@@ -253,6 +262,15 @@ def test_compare_outputs_and_svg(tmp_path, capsys):
     boxes = [el for el in root.iter() if el.get("class") == "box"]
     assert len(boxes) == 2                        # one per loss kind
     assert "bsd>ce" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("setting", ["compare.small_labels=9", "compare.seeds=0,0"])
+def test_compare_bad_config_is_config_error(tmp_path, capsys, setting):
+    # rejected before any cell trains, so the missing dataset is never read
+    rc = cli.main(["compare", "--data", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "cmp")] + TINY + ["--set", setting])
+    assert rc == cli.EXIT_CONFIG
+    assert setting.split("=")[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -1,5 +1,5 @@
 """Import graph: the loss and checkpoint modules load without the modules
-that use them; the test process runs BLAS on one thread."""
+that use them; importing the package runs BLAS on one thread."""
 
 import ctypes
 import glob
@@ -19,12 +19,22 @@ from dicegrad.tensor_core import Rng
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dicegrad.__file__)))
 
 
-def run_fresh(code: str, *args: str) -> None:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def run_fresh(code: str, *args: str, env: dict | None = None) -> str:
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def openblas_library() -> str:
+    """numpy's bundled scipy-openblas, or skip where numpy has none."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas64_*")))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    return libs[0]
 
 
 def test_leaf_modules_do_not_load_their_users(tmp_path):
@@ -45,12 +55,46 @@ def test_leaf_modules_do_not_load_their_users(tmp_path):
 
 
 def test_blas_runs_one_thread():
-    # tests/conftest.py pins the pools before numpy loads; read the count the
-    # library actually uses, through numpy's bundled scipy-openblas.
-    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                         "numpy.libs", "libscipy_openblas64_*")))
-    if not libs:
-        pytest.skip("numpy does not bundle scipy-openblas here")
-    get_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    # Importing dicegrad pins the pool; read the count the library actually
+    # uses, through numpy's bundled scipy-openblas.
+    get_threads = ctypes.CDLL(openblas_library()).scipy_openblas_get_num_threads64_
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     assert get_threads() == 1
+
+
+# numpy is imported before dicegrad, so nothing can set the thread
+# variables ahead of OpenBLAS's start; the study-width step differs in its
+# last bits between one and two BLAS threads.
+FORWARD_BACKWARD = """
+import ctypes, hashlib, sys
+import numpy as np
+from dicegrad import model
+from dicegrad.tensor_core import Rng
+
+m = model.build_model(model.ModelConfig(num_labels=7, base_channels=9, patch_size=64), Rng(0))
+p, tape = model.forward(m, Rng(1).normal((2, 1, 64, 64)), "train")
+grads = model.backward(m, tape, Rng(2).normal(p.shape, std=0.1))
+digest = hashlib.sha256(p.tobytes())
+for name in sorted(grads):
+    digest.update(grads[name].tobytes())
+get_threads = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+print(get_threads(), digest.hexdigest())
+"""
+
+
+def test_blas_pin_holds_whatever_the_thread_variables():
+    lib = openblas_library()
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    runs = {setting: run_fresh(FORWARD_BACKWARD, lib, env=base if setting is None
+                               else dict(base, OPENBLAS_NUM_THREADS=setting)).split()
+            for setting in ("1", "2", None)}
+    assert {threads for threads, _ in runs.values()} == {"1"}, runs
+    assert len({digest for _, digest in runs.values()}) == 1, runs
+
+
+def test_missing_openblas_warns(monkeypatch):
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    with pytest.warns(RuntimeWarning, match="cannot pin BLAS"):
+        dicegrad._pin_blas_to_one_thread()

@@ -1,5 +1,7 @@
 """Network topology, shapes, init, prediction, and sliding-window inference."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,11 @@ def test_eval_mode_and_backward_guards():
     model.backward(m, caches2, np.zeros_like(p2))
     with pytest.raises(StateError):
         model.backward(m, caches2, np.zeros_like(p2))   # caches consumed
+    p3, caches3 = model.forward(m, x, mode="train")
+    with pytest.raises(ValueError):
+        model.backward(m, caches3, np.zeros((1, 3, 8, 9)))   # fails after the first pop
+    with pytest.raises(StateError):
+        model.backward(m, caches3, np.zeros_like(p3))   # not replayed from half way
 
 
 def test_backward_covers_every_parameter():
@@ -111,6 +118,44 @@ def test_backward_covers_every_parameter():
     for name, g in grads.items():
         assert g.shape == params[name].shape, name
         assert np.isfinite(g).all(), name
+
+
+def _arrays(obj):
+    """Every array reachable through the tuples, lists and dict values of obj."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(item)
+
+
+def test_backward_releases_the_tape(monkeypatch):
+    # Each cache is freed once replayed, so a step's activations do not stay
+    # alive through the next step's forward.  The input is referenced only
+    # by the tape; the softmax cache is p itself.
+    m = tiny(depth=2, patch=8)
+    p, tape = model.forward(m, Rng(4).normal((2, 1, 8, 8)), mode="train")
+    params = {id(a) for a in m.state_table().values()}
+    refs = [weakref.ref(a) for a in _arrays(tape) if id(a) not in params]
+    assert len(refs) == 44        # 10 units x 4, 2 poolings, head input, p
+    inner = layers.conv2d_backward
+    alive_at_input_unit = []
+
+    def alive():
+        return sum(r() is not None for r in refs)
+
+    def counting(cache, dy, need_dx=True):
+        if not need_dx:
+            alive_at_input_unit.append(alive())
+        return inner(cache, dy, need_dx=need_dx)
+
+    monkeypatch.setattr(layers, "conv2d_backward", counting)
+    model.backward(m, tape, Rng(5).normal(p.shape, std=0.1))
+    # While the last entry replays, only its own cache (input, xhat, ivar,
+    # ReLU mask) and p are left.
+    assert alive_at_input_unit == [5]
+    del p
+    assert alive() == 0
 
 
 def test_backward_skips_only_the_input_gradient(monkeypatch):
@@ -143,11 +188,11 @@ def test_backward_skips_only_the_input_gradient(monkeypatch):
 def test_forward_rejects_wrong_shape():
     m = tiny()
     with pytest.raises(SizeError):
-        model.forward(m, np.zeros((1, 1, 8, 9)))
+        model.forward(m, np.zeros((1, 1, 8, 9)), mode="train")
     with pytest.raises(SizeError):
-        model.forward(m, np.zeros((1, 2, 8, 8)))
+        model.forward(m, np.zeros((1, 2, 8, 8)), mode="train")
     with pytest.raises(SizeError):
-        model.forward(m, np.zeros((8, 8)))
+        model.forward(m, np.zeros((8, 8)), mode="train")
 
 
 def test_predict_labels_argmax_and_ties():

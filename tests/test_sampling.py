@@ -130,6 +130,11 @@ def test_sampler_config_validation():
         SamplerConfig(batch_size=0)
     with pytest.raises(ValidationError):
         SamplerConfig(flip_prob=1.5)
+    for name in ("center_jitter_px", "max_translation_px", "elastic_sigma", "elastic_alpha"):
+        with pytest.raises(ValidationError, match=name):
+            SamplerConfig(**{name: -1})
+    with pytest.raises(ValidationError, match="elastic_alpha"):
+        SamplerConfig(elastic_alpha=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Tensor primitives: ordered reductions, channel concat, rng streams."""
+"""Tensor primitives: ordered reductions, rng streams."""
 
 import numpy as np
 import pytest
 
 from dicegrad import tensor_core as tc
-from dicegrad.errors import AxisError, SizeError
+from dicegrad.errors import AxisError
 
 
 def test_reduce_sum_matches_numpy():
@@ -36,16 +36,6 @@ def test_reduce_sum_axis_validation():
         tc.reduce_sum(t, axes=(2,))
     with pytest.raises(AxisError):
         tc.reduce_sum(t, axes=(-3,))
-
-
-def test_concat_channels():
-    a = np.full((2, 3, 4, 4), 1.0)
-    b = np.full((2, 2, 4, 4), 2.0)
-    c = tc.concat_channels(a, b)
-    assert c.shape == (2, 5, 4, 4)
-    assert np.all(c[:, :3] == 1.0) and np.all(c[:, 3:] == 2.0)
-    with pytest.raises(SizeError):
-        tc.concat_channels(a, np.zeros((2, 2, 5, 4)))
 
 
 def test_rng_deterministic_and_splittable():
