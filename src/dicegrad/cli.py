@@ -44,8 +44,6 @@ def _load_cfg(args) -> dict:
 
 
 def _echo_config(cfg: dict, out_dir) -> None:
-    if out_dir is None:
-        return
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.cfg"), "w",
               encoding="utf-8", newline="\n") as fh:

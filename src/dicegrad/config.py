@@ -16,7 +16,7 @@ from dataclasses import MISSING, fields
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import ModelConfig
-from .phantom import PhantomSpec
+from .phantom import NUM_LABELS, PhantomSpec
 from .sampling import SamplerConfig
 from .training import CompareConfig, TrainConfig
 
@@ -69,7 +69,7 @@ SCHEMA: dict = {
        for f in fields(cls)
        if f.type in _PARSERS and f.default is not MISSING
        and (names is None or f.name in names)},
-    "model.num_labels": (int, 7),
+    "model.num_labels": (int, NUM_LABELS),
     **{f"phantom.spacing_{axis}": (float, mm)
        for axis, mm in zip("zyx", PhantomSpec.spacing_mm)},
     "data.num_cases": (int, 30),

@@ -150,8 +150,7 @@ def loss_gradcheck(cfg: losses.LossConfig, seed: int, shape=(2, 3, 4, 4),
     if absent_label:
         lab0 = labels[0]
         lab0[lab0 == shape[1] - 1] = 0
-    r = np.zeros(shape)
-    np.put_along_axis(r, labels[:, None], 1.0, axis=1)
+    r = losses.one_hot(labels, shape[1])
 
     res = losses.compute_loss(p, r, cfg)
     numerical = numerical_grad(lambda pv: losses.compute_loss(pv, r, cfg).value, p, h=step)
@@ -191,9 +190,7 @@ def check_model_end_to_end(seed: int = 23) -> float:
     m = model.build_model(cfg, Rng(seed))
     rng = Rng(seed + 1)
     x = rng.normal((2, 1, 8, 8))
-    labels = rng.child(1).integers(0, cfg.num_labels, (2, 8, 8))
-    r = np.zeros((2, cfg.num_labels, 8, 8))
-    np.put_along_axis(r, labels[:, None], 1.0, axis=1)
+    r = losses.one_hot(rng.child(1).integers(0, cfg.num_labels, (2, 8, 8)), cfg.num_labels)
     lcfg = losses.LossConfig(kind="bsd", dice_label_mode="per_label_mean")
 
     def run():

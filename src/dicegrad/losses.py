@@ -2,7 +2,7 @@
 
 Four loss kinds are implemented on a probability field p of shape
 [I, L, H, W] (per-pixel label probabilities) against one-hot ground truth
-r of identical shape:
+r of identical shape, which `one_hot` builds from integer label maps:
 
   ce   pixel-averaged cross-entropy
   wce  cross-entropy with per-pixel weights 1/w_c, where w_c is the prior
@@ -72,6 +72,13 @@ def _check_pair(p: np.ndarray, r: np.ndarray) -> None:
         raise ValidationError(f"p shape {p.shape} != r shape {r.shape}")
     if p.ndim != 4:
         raise ValidationError(f"expected [I, L, H, W] fields, got shape {p.shape}")
+
+
+def one_hot(labels: np.ndarray, num_labels: int) -> np.ndarray:
+    """Integer label maps [I, H, W] -> float one-hot ground truth [I, L, H, W]."""
+    r = np.zeros((labels.shape[0], num_labels) + labels.shape[1:])
+    np.put_along_axis(r, labels[:, None], 1.0, axis=1)
+    return r
 
 
 def _check_onehot(r: np.ndarray) -> None:

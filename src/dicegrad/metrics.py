@@ -132,16 +132,13 @@ def _label_counts(volume: np.ndarray, num_labels: int, what: str) -> np.ndarray:
                               f"not {volume.dtype}") from None
 
 
-def evaluate_case(pred: np.ndarray, gt: LabeledVolume,
-                  num_labels: int | None = None) -> MetricsReport:
+def evaluate_case(pred: np.ndarray, gt: LabeledVolume, num_labels: int) -> MetricsReport:
     """Per-foreground-label DSC and ASD of a predicted label volume against
     the ground truth; labels with an empty mask on either side get a None
     ASD instead of a crash.  A label outside [0, num_labels) on either side
     raises ValidationError."""
     if pred.shape != gt.labels.shape:
         raise ValidationError(f"shape mismatch {pred.shape} vs {gt.labels.shape}")
-    if num_labels is None:
-        num_labels = int(max(pred.max(initial=0), gt.labels.max(initial=0))) + 1
     gt_counts = _label_counts(gt.labels, num_labels, "ground truth")
     pred_counts = _label_counts(pred, num_labels, "prediction")
     per_label = {}

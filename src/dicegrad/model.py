@@ -7,7 +7,8 @@ A final 3x3 convolution maps to `num_labels` channels and a per-pixel
 softmax turns the scores into label probabilities.
 
 A train-mode forward records a tape, one (kind, key, cache) entry per unit,
-pooling, upsampling and the head, in execution order.  The backward pass
+pooling, upsampling and the head, in execution order; an eval-mode forward
+keeps no cache, only the live activation and the skips.  The backward pass
 pops the entries and replays the matching layer backward functions, so the
 topology is written once; it splits the gradient at each skip concat
 between the upsampling path and the encoder output it was joined with.
@@ -146,11 +147,11 @@ def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
     return dx
 
 
-def _stage(m: SegModel, stage: str, h, mode: str, tape: list):
-    """The stage's two units in order, each recorded on the tape."""
+def _stage(m: SegModel, stage: str, h, mode: str, record):
+    """The stage's two units in order, each cache handed to `record`."""
     for un in (f"{stage}.u0", f"{stage}.u1"):
         h, cache = _unit_forward(h, m.units[un], mode)
-        tape.append(("unit", un, cache))
+        record(("unit", un, cache))
     return h
 
 
@@ -159,7 +160,8 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
 
     Returns (probabilities [I, L, P, P], tape); the tape, the (kind, key,
     cache) entries in execution order, is None in eval mode and must be
-    handed unchanged to `backward` in train mode.
+    handed unchanged to `backward` in train mode.  Eval mode records
+    nothing, so only the live activation and the skips stay alive.
     """
     cfg = m.cfg
     p_sz = cfg.patch_size
@@ -167,24 +169,25 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
         raise SizeError(
             f"expected input [I, {cfg.in_channels}, {p_sz}, {p_sz}], got {x.shape}"
         )
-    tape = []
+    tape = [] if mode == "train" else None
+    record = (lambda entry: None) if tape is None else tape.append
     h = x
     skips = []
     for d in range(cfg.depth):
-        h = _stage(m, f"enc{d}", h, mode, tape)
+        h = _stage(m, f"enc{d}", h, mode, record)
         skips.append(h)
         h, c = layers.maxpool2(h)
-        tape.append(("pool", d, c))
-    h = _stage(m, "mid", h, mode, tape)
+        record(("pool", d, c))
+    h = _stage(m, "mid", h, mode, record)
     for d in reversed(range(cfg.depth)):
         h, c = layers.bilinear_up2(h)
-        tape.append(("up", d, (c, h.shape[1])))     # where the concat's gradient splits
+        record(("up", d, (c, h.shape[1])))     # where the concat's gradient splits
         h = np.concatenate([h, skips[d]], axis=1)
-        h = _stage(m, f"dec{d}", h, mode, tape)
+        h = _stage(m, f"dec{d}", h, mode, record)
     scores, c_head = layers.conv2d(h, m.final)
     p, c_soft = layers.softmax(scores)
-    tape.append(("head", "head", (c_head, c_soft)))
-    return p, (tape if mode == "train" else None)
+    record(("head", "head", (c_head, c_soft)))
+    return p, tape
 
 
 def backward(m: SegModel, tape, grad_p: np.ndarray) -> dict[str, np.ndarray]:

@@ -11,7 +11,9 @@ Augmentation applies, in order: a horizontal flip (probability 0.5), an
 integer-pixel translation (zero-padding the image, background-padding the
 labels), and an elastic deformation by a Gaussian-smoothed random
 displacement field shared between the image (bilinear resampling) and the
-one-hot labels (nearest-neighbor resampling, which keeps them one-hot).
+label map (nearest-neighbor resampling).  Labels travel as integer [P, P]
+maps; the batch's [B, P, P] map is one-hot encoded once, by
+`losses.one_hot`, into `MiniBatch.onehot`.
 
 All randomness is drawn from per-patch child streams keyed by the global
 patch index, so a batch depends only on (parent seed, its start index) and
@@ -26,6 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import SamplingError, ValidationError
+from .losses import one_hot
 from .tensor_core import Rng
 from .volume_io import LabeledVolume
 
@@ -107,9 +110,8 @@ def _crop_origin(center: float, patch: int, extent: int) -> int:
     return int(np.clip(round(center - patch / 2), 0, max(0, extent - patch)))
 
 
-def _extract_patch(vol: LabeledVolume, z: int, y0: int, x0: int, patch: int,
-                   num_labels: int):
-    """Image and one-hot label patch; slices smaller than the patch are
+def _extract_patch(vol: LabeledVolume, z: int, y0: int, x0: int, patch: int):
+    """Image and label map patch; slices smaller than the patch are
     zero-padded (image) / background-padded (labels) at the high side."""
     height, width = vol.labels.shape[1:]
     img = np.zeros((patch, patch))
@@ -118,36 +120,28 @@ def _extract_patch(vol: LabeledVolume, z: int, y0: int, x0: int, patch: int,
     xs = slice(x0, min(x0 + patch, width))
     img[:ys.stop - y0, :xs.stop - x0] = vol.intensities[z, ys, xs]
     lab[:ys.stop - y0, :xs.stop - x0] = vol.labels[z, ys, xs]
-    return img, _one_hot(lab, num_labels)
+    return img, lab
 
 
-def _one_hot(lab: np.ndarray, num_labels: int) -> np.ndarray:
-    """[P, P] integer label map -> [num_labels, P, P] float one-hot."""
-    onehot = np.zeros((num_labels,) + lab.shape)
-    np.put_along_axis(onehot, lab[None], 1.0, axis=0)
-    return onehot
+def _flip(img, lab):
+    return img[:, ::-1].copy(), lab[:, ::-1].copy()
 
 
-def _flip(img, onehot):
-    return img[:, ::-1].copy(), onehot[:, :, ::-1].copy()
-
-
-def _translate(img, onehot, dy: int, dx: int):
-    """Shift by (dy, dx); image fills with 0, labels with background."""
+def _translate(img, lab, dy: int, dx: int):
+    """Shift by (dy, dx); image and labels fill with 0 (background)."""
     patch = img.shape[0]
     out_img = np.zeros_like(img)
-    out_hot = np.zeros_like(onehot)
-    out_hot[0] = 1.0
+    out_lab = np.zeros_like(lab)
     src_y = slice(max(0, -dy), min(patch, patch - dy))
     src_x = slice(max(0, -dx), min(patch, patch - dx))
     dst_y = slice(max(0, dy), max(0, dy) + (src_y.stop - src_y.start))
     dst_x = slice(max(0, dx), max(0, dx) + (src_x.stop - src_x.start))
     out_img[dst_y, dst_x] = img[src_y, src_x]
-    out_hot[:, dst_y, dst_x] = onehot[:, src_y, src_x]
-    return out_img, out_hot
+    out_lab[dst_y, dst_x] = lab[src_y, src_x]
+    return out_img, out_lab
 
 
-def _elastic(img, onehot, rng: Rng, sigma: float, alpha: float):
+def _elastic(img, lab, rng: Rng, sigma: float, alpha: float):
     patch = img.shape[0]
     disp_y = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
     disp_x = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
@@ -155,24 +149,21 @@ def _elastic(img, onehot, rng: Rng, sigma: float, alpha: float):
                          np.arange(patch, dtype=float), indexing="ij")
     coords = np.stack([ys + disp_y, xs + disp_x])
     out_img = ndimage.map_coordinates(img, coords, order=1, mode="nearest")
-    # `onehot` is one-hot at every pixel, so nearest-neighbour resampling of
-    # its label map and of each channel pick the same labels.
-    lab = ndimage.map_coordinates(onehot.argmax(axis=0), coords, order=0, mode="nearest")
-    return out_img, _one_hot(lab, onehot.shape[0])
+    out_lab = ndimage.map_coordinates(lab, coords, order=0, mode="nearest")
+    return out_img, out_lab
 
 
-def augment(img: np.ndarray, onehot: np.ndarray, rng: Rng, cfg: SamplerConfig):
-    """Flip / translate / elastically deform one aligned patch pair."""
+def augment(img: np.ndarray, lab: np.ndarray, rng: Rng, cfg: SamplerConfig):
+    """Flip / translate / elastically deform one aligned image and label map."""
     if cfg.flip_prob > 0 and rng.child(0).random() < cfg.flip_prob:
-        img, onehot = _flip(img, onehot)
+        img, lab = _flip(img, lab)
     if cfg.max_translation_px > 0:
         t = cfg.max_translation_px
         dy, dx = (int(v) for v in rng.child(1).integers(-t, t + 1, (2,)))
-        img, onehot = _translate(img, onehot, dy, dx)
+        img, lab = _translate(img, lab, dy, dx)
     if cfg.elastic_alpha > 0:
-        img, onehot = _elastic(img, onehot, rng.child(2), cfg.elastic_sigma,
-                               cfg.elastic_alpha)
-    return img, onehot
+        img, lab = _elastic(img, lab, rng.child(2), cfg.elastic_sigma, cfg.elastic_alpha)
+    return img, lab
 
 
 def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
@@ -181,7 +172,7 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
     the batch's first patch (step * batch_size in a training loop)."""
     fg = dataset.foreground
     images = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
-    onehot = np.empty((cfg.batch_size, dataset.num_labels, cfg.patch_size, cfg.patch_size))
+    labels = np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size), dtype=np.int64)
     provenance = []
     for slot in range(cfg.batch_size):
         g = start_index + slot
@@ -196,10 +187,10 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
         height, width = vol.labels.shape[1:]
         y0 = _crop_origin(cy + jy, cfg.patch_size, height)
         x0 = _crop_origin(cx + jx, cfg.patch_size, width)
-        img, hot = _extract_patch(vol, z, y0, x0, cfg.patch_size, dataset.num_labels)
+        img, lab = _extract_patch(vol, z, y0, x0, cfg.patch_size)
         if cfg.augment:
-            img, hot = augment(img, hot, prng.child(2), cfg)
+            img, lab = augment(img, lab, prng.child(2), cfg)
         images[slot, 0] = img
-        onehot[slot] = hot
+        labels[slot] = lab
         provenance.append(PatchProvenance(ci, case_id, z, (y0, x0), label, g))
-    return MiniBatch(images, onehot, provenance)
+    return MiniBatch(images, one_hot(labels, dataset.num_labels), provenance)

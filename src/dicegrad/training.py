@@ -190,8 +190,6 @@ class CompareReport:
     results: list[CaseResult]
     failed_cells: list[tuple[str, int, str]]
     verdicts: list[str]
-    small_label_wins: dict[int, int]        # label -> seeds where bsd > ce
-    bsd_beats_sd_mean: dict[int, bool]      # label -> bsd mean > sd mean
 
 
 def load_split(data_dir, holdout_cases: int, num_labels: int):
@@ -271,24 +269,20 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
     results.sort(key=lambda r: (r.loss_kind, r.seed, r.case_id, r.label))
 
     verdicts = []
-    wins: dict[int, int] = {}
-    bsd_beats_sd: dict[int, bool] = {}
     for label in cmp_cfg.small_labels:
         n_win = sum(
             1 for seed in cmp_cfg.seeds
             if _mean_dsc(results, "bsd", label, seed) > _mean_dsc(results, "ce", label, seed)
         )
-        wins[label] = n_win
         bsd_mean = _mean_dsc(results, "bsd", label)
         sd_mean = _mean_dsc(results, "sd", label)
         ce_mean = _mean_dsc(results, "ce", label)
-        bsd_beats_sd[label] = bool(bsd_mean > sd_mean)
         verdicts.append(
             f"label {label}: bsd>ce in {n_win}/{len(cmp_cfg.seeds)} seeds "
             f"(mean dsc bsd {bsd_mean:.3f}, sd {sd_mean:.3f}, ce {ce_mean:.3f}); "
-            f"bsd mean > sd mean: {'yes' if bsd_beats_sd[label] else 'no'}"
+            f"bsd mean > sd mean: {'yes' if bsd_mean > sd_mean else 'no'}"
         )
-    return CompareReport(results, failed, verdicts, wins, bsd_beats_sd)
+    return CompareReport(results, failed, verdicts)
 
 
 def write_comparison_csv(path, results: list[CaseResult]) -> None:

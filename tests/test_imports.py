@@ -1,5 +1,6 @@
 """Import graph: the loss and checkpoint modules load without the modules
-that use them; importing the package runs BLAS on one thread."""
+that use them, the gradient checks without scipy; importing the package
+runs BLAS on one thread."""
 
 import ctypes
 import glob
@@ -52,6 +53,14 @@ def test_leaf_modules_do_not_load_their_users(tmp_path):
               "_, state = load_checkpoint(sys.argv[1])\n"
               "assert state is not None and state.step == 5\n"
               "assert 'dicegrad.training' not in sys.modules", path)
+
+
+def test_gradcheck_and_model_do_not_load_scipy():
+    # The gradient-check suite's start-up is this import; scipy.ndimage alone
+    # would add several times its cost.
+    run_fresh("import sys, dicegrad.gradcheck, dicegrad.model\n"
+              "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')\n"
+              "assert not loaded, loaded")
 
 
 def test_blas_runs_one_thread():

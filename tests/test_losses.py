@@ -9,7 +9,7 @@ import pytest
 from dicegrad import losses
 from dicegrad.errors import ValidationError
 from dicegrad.gradcheck import loss_gradcheck
-from dicegrad.losses import LossConfig, compute_loss
+from dicegrad.losses import LossConfig, compute_loss, one_hot
 from dicegrad.tensor_core import Rng
 
 
@@ -104,6 +104,14 @@ def random_pair(seed, shape=(2, 3, 4, 4), softmax=True):
     r = np.zeros(shape)
     np.put_along_axis(r, labels[:, None], 1.0, axis=1)
     return p, r
+
+
+def test_one_hot_matches_comparison_oracle():
+    labels = Rng(3).integers(0, 4, (2, 5, 6))
+    r = one_hot(labels, 4)
+    assert r.shape == (2, 4, 5, 6) and r.dtype == np.float64
+    want = (labels[:, None] == np.arange(4)[None, :, None, None]).astype(float)
+    assert r.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

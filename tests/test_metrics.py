@@ -378,4 +378,4 @@ def test_evaluate_case_rejects_non_integer_labels():
 def test_evaluate_case_shape_mismatch():
     with pytest.raises(ValidationError):
         metrics.evaluate_case(np.zeros((2, 2, 2), dtype=np.int64),
-                              _volume(np.zeros((2, 2, 3), dtype=np.int64)))
+                              _volume(np.zeros((2, 2, 3), dtype=np.int64)), num_labels=2)

@@ -158,6 +158,28 @@ def test_backward_releases_the_tape(monkeypatch):
     assert alive() == 0
 
 
+def test_eval_forward_keeps_no_cache(monkeypatch):
+    # Eval mode records no tape: when the head runs, no unit input is alive
+    # but the network input, which the caller holds.  Train mode keeps all ten.
+    m = tiny(depth=2, patch=8)
+    x = Rng(4).normal((2, 1, 8, 8))
+    inner = layers.conv2d
+    inputs, alive_at_head = [], {}
+
+    def recording(xv, params):
+        if params is m.final:
+            alive_at_head[mode] = sum(r() is not None for r in inputs)
+        inputs.append(weakref.ref(xv))
+        return inner(xv, params)
+
+    monkeypatch.setattr(layers, "conv2d", recording)
+    for mode in ("eval", "train"):
+        inputs.clear()
+        model.forward(m, x, mode=mode)
+        assert len(inputs) == 11, mode
+    assert alive_at_head == {"eval": 1, "train": 10}
+
+
 def test_backward_skips_only_the_input_gradient(monkeypatch):
     # Only enc0.u0 (the last of the 11 conv backward calls) skips dx, and
     # every gradient is bitwise that of a backward computing every dx.

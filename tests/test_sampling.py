@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from dicegrad import sampling
 from dicegrad.errors import SamplingError, ValidationError
+from dicegrad.losses import one_hot
 from dicegrad.phantom import PhantomSpec, generate_phantom
 from dicegrad.sampling import (PatchDataset, SamplerConfig, augment,
                                sample_balanced_batch)
@@ -30,9 +31,7 @@ def small_cfg(**kw):
 def checkers_pair(patch=16, num_labels=3):
     img = np.indices((patch, patch)).sum(axis=0).astype(float)
     lab = (np.indices((patch, patch)).sum(axis=0) % num_labels)
-    onehot = np.zeros((num_labels, patch, patch))
-    np.put_along_axis(onehot, lab[None], 1.0, axis=0)
-    return img, onehot
+    return img, lab
 
 
 # ---------------------------------------------------------------------------
@@ -142,54 +141,56 @@ def test_sampler_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_augment_disabled_is_identity():
-    img, onehot = checkers_pair()
+    img, lab = checkers_pair()
     cfg = SamplerConfig(patch_size=16, flip_prob=0.0,
                         max_translation_px=0, elastic_alpha=0.0)
-    out_img, out_hot = augment(img.copy(), onehot.copy(), Rng(5), cfg)
+    out_img, out_lab = augment(img.copy(), lab.copy(), Rng(5), cfg)
     assert np.array_equal(out_img, img)
-    assert np.array_equal(out_hot, onehot)
+    assert np.array_equal(out_lab, lab)
 
 
 def test_flip_is_involution():
-    img, onehot = checkers_pair()
-    once = sampling._flip(img, onehot)
+    img, lab = checkers_pair()
+    once = sampling._flip(img, lab)
     twice = sampling._flip(*once)
     assert np.array_equal(twice[0], img)
-    assert np.array_equal(twice[1], onehot)
+    assert np.array_equal(twice[1], lab)
     assert not np.array_equal(once[0], img)
 
 
 def test_flip_probability_extremes():
-    img, onehot = checkers_pair()
+    img, lab = checkers_pair()
     always = SamplerConfig(patch_size=16, flip_prob=1.0,
                            max_translation_px=0, elastic_alpha=0.0)
-    out_img, _ = augment(img.copy(), onehot.copy(), Rng(6), always)
+    out_img, _ = augment(img.copy(), lab.copy(), Rng(6), always)
     assert np.array_equal(out_img, img[:, ::-1])
 
 
 def test_translate_pads_correctly():
-    img, onehot = checkers_pair(patch=8)
-    out_img, out_hot = sampling._translate(img, onehot, 2, -3)
+    img, lab = checkers_pair(patch=8)
+    out_img, out_lab = sampling._translate(img, lab, 2, -3)
     assert np.array_equal(out_img[2:, :5], img[:6, 3:])
     assert np.all(out_img[:2] == 0.0)
     assert np.all(out_img[:, 5:] == 0.0)
-    # vacated label pixels become background one-hot, not all-zero
-    assert np.all(out_hot[0, :2] == 1.0)
-    assert (out_hot.sum(axis=0) == 1.0).all()
+    # vacated label pixels become background, and the rest shift with the image
+    assert np.all(out_lab[:2] == 0)
+    assert np.all(out_lab[:, 5:] == 0)
+    assert np.array_equal(out_lab[2:, :5], lab[:6, 3:])
     # identity at zero offset
-    same = sampling._translate(img, onehot, 0, 0)
+    same = sampling._translate(img, lab, 0, 0)
     assert np.array_equal(same[0], img)
+    assert np.array_equal(same[1], lab)
 
 
-def test_elastic_zero_alpha_identity_and_onehot_preserved():
-    img, onehot = checkers_pair()
-    out_img, out_hot = sampling._elastic(img, onehot, Rng(8), 4.0, 0.0)
+def test_elastic_zero_alpha_identity_and_labels_preserved():
+    img, lab = checkers_pair()
+    out_img, out_lab = sampling._elastic(img, lab, Rng(8), 4.0, 0.0)
     assert np.allclose(out_img, img, atol=1e-12)
-    assert np.array_equal(out_hot, onehot)
-    warped_img, warped_hot = sampling._elastic(img, onehot, Rng(8), 4.0, 3.0)
+    assert np.array_equal(out_lab, lab)
+    warped_img, warped_lab = sampling._elastic(img, lab, Rng(8), 4.0, 3.0)
     assert not np.array_equal(warped_img, img)
-    assert np.isin(warped_hot, (0.0, 1.0)).all()
-    assert (warped_hot.sum(axis=0) == 1.0).all()
+    assert warped_lab.dtype == lab.dtype
+    assert set(np.unique(warped_lab)) <= set(np.unique(lab))
 
 
 def per_channel_elastic(img, onehot, rng, sigma, alpha):
@@ -213,20 +214,68 @@ def test_elastic_bitwise_equals_per_channel_reference():
         img = rng.child(0).normal((32, 32))
         lab = rng.child(1).integers(0, 7, (32, 32))
         lab[8:20, 10:24] = seed % 7          # a block, as organs are
-        onehot = np.zeros((7, 32, 32))
-        np.put_along_axis(onehot, lab[None], 1.0, axis=0)
         alpha = 1.0 + seed % 5
-        got = sampling._elastic(img, onehot, rng.child(2), 4.0, alpha)
-        want = per_channel_elastic(img, onehot, rng.child(2), 4.0, alpha)
+        got_img, got_lab = sampling._elastic(img, lab, rng.child(2), 4.0, alpha)
+        got = (got_img, one_hot(got_lab[None], 7)[0])
+        want = per_channel_elastic(img, one_hot(lab[None], 7)[0], rng.child(2), 4.0, alpha)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), seed
 
 
+def onehot_stack_augment(img, onehot, rng, cfg):
+    """Reference augmentation that carries a per-patch [L, P, P] one-hot
+    stack through the flip, the translation (vacated pixels one-hot
+    background) and the per-channel elastic resampling."""
+    if cfg.flip_prob > 0 and rng.child(0).random() < cfg.flip_prob:
+        img, onehot = img[:, ::-1].copy(), onehot[:, :, ::-1].copy()
+    if cfg.max_translation_px > 0:
+        t = cfg.max_translation_px
+        dy, dx = (int(v) for v in rng.child(1).integers(-t, t + 1, (2,)))
+        patch = img.shape[0]
+        src_y = slice(max(0, -dy), min(patch, patch - dy))
+        src_x = slice(max(0, -dx), min(patch, patch - dx))
+        dst_y = slice(max(0, dy), max(0, dy) + (src_y.stop - src_y.start))
+        dst_x = slice(max(0, dx), max(0, dx) + (src_x.stop - src_x.start))
+        out_img, out_hot = np.zeros_like(img), np.zeros_like(onehot)
+        out_hot[0] = 1.0
+        out_img[dst_y, dst_x] = img[src_y, src_x]
+        out_hot[:, dst_y, dst_x] = onehot[:, src_y, src_x]
+        img, onehot = out_img, out_hot
+    if cfg.elastic_alpha > 0:
+        img, onehot = per_channel_elastic(img, onehot, rng.child(2), cfg.elastic_sigma,
+                                          cfg.elastic_alpha)
+    return img, onehot
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), SamplerConfig()], ids=["32px", "study"])
+def test_batch_bitwise_equals_onehot_stack_reference(dataset, cfg):
+    # Each slot's crop, re-augmented as a one-hot stack on the slot's own
+    # stream, must give the batch's image and one-hot bytes.
+    rng = Rng(21)
+    patch = cfg.patch_size
+    for step in range(5):
+        batch = sample_balanced_batch(dataset, cfg, rng, start_index=step * cfg.batch_size)
+        for slot, prov in enumerate(batch.provenance):
+            vol = dataset.cases[prov.case_index][1]
+            y0, x0 = prov.crop_offset
+            crop = np.s_[prov.slice_index, y0:y0 + patch, x0:x0 + patch]
+            img, lab = np.zeros((patch, patch)), np.zeros((patch, patch), dtype=np.int64)
+            h, w = vol.labels[crop].shape
+            img[:h, :w], lab[:h, :w] = vol.intensities[crop], vol.labels[crop]
+            onehot = np.zeros((dataset.num_labels, patch, patch))
+            np.put_along_axis(onehot, lab[None], 1.0, axis=0)
+            want_img, want_hot = onehot_stack_augment(
+                img, onehot, rng.child(prov.patch_index).child(2), cfg)
+            assert batch.images[slot, 0].tobytes() == want_img.tobytes(), (step, slot)
+            assert batch.onehot.dtype == want_hot.dtype
+            assert batch.onehot[slot].tobytes() == want_hot.tobytes(), (step, slot)
+
+
 def test_augment_deterministic_per_stream():
-    img, onehot = checkers_pair()
+    img, lab = checkers_pair()
     cfg = SamplerConfig(patch_size=16)
-    a = augment(img.copy(), onehot.copy(), Rng(13).child(4), cfg)
-    b = augment(img.copy(), onehot.copy(), Rng(13).child(4), cfg)
+    a = augment(img.copy(), lab.copy(), Rng(13).child(4), cfg)
+    b = augment(img.copy(), lab.copy(), Rng(13).child(4), cfg)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 

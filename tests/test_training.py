@@ -300,7 +300,7 @@ def test_run_loss_comparison_sequential_and_parallel(tmp_path):
     assert (tmp_path / "seq" / "ce_s0" / "final.dgrd").exists()
     assert (tmp_path / "seq" / "bsd_s0" / "final.dgrd").exists()
     assert len(seq.verdicts) == 2
-    assert set(seq.small_label_wins) == {3, 4}
+    assert [v.split(":")[0] for v in seq.verdicts] == ["label 3", "label 4"]
 
     par = training.run_loss_comparison(data_dir, model_cfg, base, cmp_cfg,
                                        tmp_path / "par", max_workers=2)
