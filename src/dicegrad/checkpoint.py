@@ -18,7 +18,6 @@ entry order is fixed, so saving a loaded checkpoint reproduces the file.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 
@@ -28,6 +27,7 @@ from .errors import FormatError
 from .model import ModelConfig, SegModel, build_model
 from .optim import AdamState
 from .tensor_core import Rng
+from .volume_io import write_file
 
 MAGIC = b"DGRD"
 VERSION = 1
@@ -99,11 +99,8 @@ def save_checkpoint(m: SegModel, state: AdamState | None, path) -> None:
             parts.append(_pack_entry(f"opt.m.{name}", state.m[name]))
             parts.append(_pack_entry(f"opt.v.{name}", state.v[name]))
     body = b"".join(parts)
-    blob = MAGIC + struct.pack("<I", VERSION) + body + struct.pack("<I", zlib.crc32(body))
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_file(path, MAGIC, struct.pack("<I", VERSION), body,
+               struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path):
@@ -141,16 +138,18 @@ def load_checkpoint(path):
     cfg = ModelConfig(**cfg_kwargs)
     m = build_model(cfg, Rng(0))
 
-    for name, arr in m.state_table().items():
-        key = f"model.{name}"
+    def pop_tensor(key: str, like: np.ndarray, what: str) -> np.ndarray:
         if key not in entries:
-            raise FormatError(f"{path}: missing tensor {key!r}")
+            raise FormatError(f"{path}: missing {what} {key!r}")
         stored = entries.pop(key)
-        if stored.shape != arr.shape:
+        if stored.shape != like.shape:
             raise FormatError(
-                f"{path}: tensor {key!r} has shape {stored.shape}, expected {arr.shape}"
+                f"{path}: tensor {key!r} has shape {stored.shape}, expected {like.shape}"
             )
-        arr[...] = stored
+        return stored
+
+    for name, arr in m.state_table().items():
+        arr[...] = pop_tensor(f"model.{name}", arr, "tensor")
 
     state = None
     opt_keys = [k for k in entries if k.startswith("opt.")]
@@ -160,17 +159,8 @@ def load_checkpoint(path):
         step = int(round(float(entries.pop("opt.step"))))
         m_mom, v_mom = {}, {}
         for name, arr in m.param_table().items():
-            for prefix, dest in (("opt.m.", m_mom), ("opt.v.", v_mom)):
-                key = f"{prefix}{name}"
-                if key not in entries:
-                    raise FormatError(f"{path}: missing optimizer tensor {key!r}")
-                stored = entries.pop(key)
-                if stored.shape != arr.shape:
-                    raise FormatError(
-                        f"{path}: tensor {key!r} has shape {stored.shape}, "
-                        f"expected {arr.shape}"
-                    )
-                dest[name] = stored
+            m_mom[name] = pop_tensor(f"opt.m.{name}", arr, "optimizer tensor")
+            v_mom[name] = pop_tensor(f"opt.v.{name}", arr, "optimizer tensor")
         state = AdamState(step=step, m=m_mom, v=v_mom)
 
     if entries:

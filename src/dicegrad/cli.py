@@ -45,9 +45,8 @@ def _load_cfg(args) -> dict:
 
 def _echo_config(cfg: dict, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.cfg"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(config.render(cfg))
+    volume_io.write_file(os.path.join(out_dir, "effective_config.cfg"),
+                         config.render(cfg))
 
 
 def _workers() -> int:
@@ -111,9 +110,7 @@ def cmd_gradcheck(args) -> int:
     print(report, end="")
     if args.out is not None:
         _echo_config(cfg, args.out)
-        with open(os.path.join(args.out, "gradcheck.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        volume_io.write_file(os.path.join(args.out, "gradcheck.txt"), report)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -143,12 +140,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _format_stat(values):
+def _mean_std(values):
+    """(mean, std) of the values that are not None, or (None, None)."""
     defined = [v for v in values if v is not None]
     if not defined:
-        return "", ""
-    return (f"{float(np.mean(defined)):.17g}",
-            f"{float(np.std(defined)):.17g}")
+        return None, None
+    return float(np.mean(defined)), float(np.std(defined))
+
+
+def _g17(value) -> str:
+    """Round-trip text for a float; an undefined value is an empty field."""
+    return "" if value is None else f"{value:.17g}"
 
 
 def cmd_eval(args) -> int:
@@ -165,40 +167,33 @@ def cmd_eval(args) -> int:
 
     refs = volume_io.read_manifest(args.data)
     cases = ((ref.case_id, volume_io.load_case(args.data, ref)) for ref in refs)
-    rows = []          # (case_id, label, dsc, asd, flags)
-    for case_id, report in training.evaluate_cases(cases, num_labels, m):
-        for label, lm in sorted(report.per_label.items()):
-            flags = []
-            if lm.gt_voxels == 0:
-                flags.append("gt_empty")
-            if lm.pred_voxels == 0:
-                flags.append("pred_empty")
-            rows.append((case_id, label, lm.dsc, lm.asd_mm, ";".join(flags)))
+    rows = [(case_id, label, lm)
+            for case_id, report in training.evaluate_cases(cases, num_labels, m)
+            for label, lm in sorted(report.per_label.items())]
 
-    os.makedirs(args.out, exist_ok=True)
     _echo_config(cfg, args.out)
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("case_id,label,dsc,asd_mm,flags\n")
-        for case_id, label, dsc, asd, flags in rows:
-            asd_s = "" if asd is None else f"{asd:.17g}"
-            fh.write(f"{case_id},{label},{dsc:.17g},{asd_s},{flags}\n")
-    with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("label,cases,dsc_mean,dsc_std,asd_mean,asd_std,absent_cases,"
-                 "pred_empty_cases\n")
-        for label in range(1, num_labels):
-            sub = [r for r in rows if r[1] == label]
-            dsc_mean, dsc_std = _format_stat([r[2] for r in sub])
-            asd_mean, asd_std = _format_stat([r[3] for r in sub])
-            absent = sum(1 for r in sub if r[4])
-            pred_empty = sum(1 for r in sub if "pred_empty" in r[4].split(";"))
-            fh.write(f"{label},{len(sub)},{dsc_mean},{dsc_std},"
-                     f"{asd_mean},{asd_std},{absent},{pred_empty}\n")
-            dm = float(dsc_mean) if dsc_mean else float("nan")
-            am = float(asd_mean) if asd_mean else float("nan")
-            print(f"label {label}: DSC {100 * dm:6.1f} %   ASD {am:7.3f} mm   "
-                  f"({len(sub)} cases, {absent} flagged, {pred_empty} predicted empty)")
+    metrics_lines = ["case_id,label,dsc,asd_mm,flags\n"]
+    for case_id, label, lm in rows:
+        flags = [f for f, empty in (("gt_empty", lm.gt_voxels == 0),
+                                    ("pred_empty", lm.pred_voxels == 0)) if empty]
+        metrics_lines.append(f"{case_id},{label},{lm.dsc:.17g},{_g17(lm.asd_mm)},"
+                             f"{';'.join(flags)}\n")
+    volume_io.write_file(os.path.join(args.out, "metrics.csv"), *metrics_lines)
+    summary_lines = ["label,cases,dsc_mean,dsc_std,asd_mean,asd_std,absent_cases,"
+                     "pred_empty_cases\n"]
+    for label in range(1, num_labels):
+        sub = [lm for _, row_label, lm in rows if row_label == label]
+        dsc_mean, dsc_std = _mean_std([lm.dsc for lm in sub])
+        asd_mean, asd_std = _mean_std([lm.asd_mm for lm in sub])
+        absent = sum(1 for lm in sub if lm.gt_voxels == 0 or lm.pred_voxels == 0)
+        pred_empty = sum(1 for lm in sub if lm.pred_voxels == 0)
+        summary_lines.append(f"{label},{len(sub)},{_g17(dsc_mean)},{_g17(dsc_std)},"
+                             f"{_g17(asd_mean)},{_g17(asd_std)},{absent},{pred_empty}\n")
+        dm = float("nan") if dsc_mean is None else dsc_mean
+        am = float("nan") if asd_mean is None else asd_mean
+        print(f"label {label}: DSC {100 * dm:6.1f} %   ASD {am:7.3f} mm   "
+              f"({len(sub)} cases, {absent} flagged, {pred_empty} predicted empty)")
+    volume_io.write_file(os.path.join(args.out, "summary.csv"), *summary_lines)
     print(f"wrote metrics for {len(refs)} cases to {args.out}")
     return EXIT_OK
 
@@ -217,10 +212,8 @@ def cmd_compare(args) -> int:
                                           max_workers=workers)
     training.write_comparison_csv(os.path.join(args.out, "compare_results.csv"),
                                   report.results)
-    with open(os.path.join(args.out, "verdicts.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        for line in report.verdicts:
-            fh.write(line + "\n")
+    volume_io.write_file(os.path.join(args.out, "verdicts.txt"),
+                         *(line + "\n" for line in report.verdicts))
     for label in range(1, model_cfg.num_labels):
         groups = {}
         for kind in cmp_cfg.losses:
@@ -273,13 +266,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IoError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FormatError, OSError) as exc:       # IoError is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:

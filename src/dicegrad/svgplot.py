@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from .errors import ValidationError
+from .volume_io import write_file
 
 _W, _H = 480, 320
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 34, 44
@@ -102,8 +103,5 @@ def box_plot(path, groups: dict[str, list[float]], title: str = "",
         _line(g, cx - box_w / 2, ypix(med), cx + box_w / 2, ypix(med), width=2.0)
         _text(g, cx, _MARGIN_T + plot_h + 18, name, size=12)
 
-    tree = ET.ElementTree(svg)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n")
+    ET.indent(svg)
+    write_file(path, ET.tostring(svg, encoding="unicode", xml_declaration=True), "\n")

@@ -142,11 +142,8 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
 def write_run_record(out_dir, record: RunRecord) -> None:
     """Loss curve as line-delimited records plus a deterministic summary;
     wall-clock goes to its own file so the rest is bitwise reproducible."""
-    with open(os.path.join(out_dir, "curve.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("step,loss\n")
-        for step, value in record.losses:
-            fh.write(f"{step},{value:.17g}\n")
+    volume_io.write_file(os.path.join(out_dir, "curve.csv"), "step,loss\n",
+                         *(f"{step},{value:.17g}\n" for step, value in record.losses))
     summary = {
         "steps_recorded": len(record.losses),
         "final_loss": record.losses[-1][1] if record.losses else None,
@@ -155,13 +152,10 @@ def write_run_record(out_dir, record: RunRecord) -> None:
             for step, by_label in record.evals
         ],
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(f"wall_clock_seconds={record.wall_clock:.3f}\n")
+    volume_io.write_file(os.path.join(out_dir, "summary.json"),
+                         json.dumps(summary, indent=2), "\n")
+    volume_io.write_file(os.path.join(out_dir, "timing.txt"),
+                         f"wall_clock_seconds={record.wall_clock:.3f}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +280,8 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
 
 
 def write_comparison_csv(path, results: list[CaseResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("loss,seed,case_id,label,dsc,asd_mm\n")
-        for r in results:
-            asd = "" if r.asd_mm is None else f"{r.asd_mm:.17g}"
-            fh.write(f"{r.loss_kind},{r.seed},{r.case_id},{r.label},{r.dsc:.17g},{asd}\n")
+    lines = ["loss,seed,case_id,label,dsc,asd_mm\n"]
+    for r in results:
+        asd = "" if r.asd_mm is None else f"{r.asd_mm:.17g}"
+        lines.append(f"{r.loss_kind},{r.seed},{r.case_id},{r.label},{r.dsc:.17g},{asd}\n")
+    volume_io.write_file(path, *lines)

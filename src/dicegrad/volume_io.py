@@ -1,5 +1,5 @@
-"""Volume container type and its on-disk binary format, plus the dataset
-manifest.
+"""Volume container type and its on-disk binary format, the dataset
+manifest, and the package's one file writer.
 
 A stored volume file holds one field (intensities or labels):
 
@@ -14,6 +14,10 @@ A dataset directory holds one intensity file and one label file per case
 and a `manifest.csv` with one case per line:
 
     case_id,image_relpath,label_relpath,seed
+
+Every file the package writes goes through `write_file`: text as UTF-8
+with the newlines as given, written to `<path>.tmp` and renamed over
+`<path>`, so a file that exists is complete.
 """
 
 from __future__ import annotations
@@ -56,6 +60,21 @@ class LabeledVolume:
             raise ValidationError("labels must be nonnegative")
 
 
+def write_file(path, *chunks) -> None:
+    """Write `chunks` (str as UTF-8, bytes-like as is) to `path`, all or
+    nothing: a failure part way leaves `path` as it was."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def save_dvol(path, array: np.ndarray, spacing_mm) -> None:
     if array.ndim != 3:
         raise ValidationError(f"expected [D, H, W], got {array.shape}")
@@ -68,11 +87,7 @@ def save_dvol(path, array: np.ndarray, spacing_mm) -> None:
     header = MAGIC + struct.pack(
         "<I3Q3dI", VERSION, *array.shape, *(float(s) for s in spacing_mm), code
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-    os.replace(tmp, path)
+    write_file(path, header, payload)
 
 
 def load_dvol(path):
@@ -137,11 +152,9 @@ def load_case(dataset_dir, ref: CaseRef) -> LabeledVolume:
 
 
 def write_manifest(dataset_dir, refs: list[CaseRef]) -> None:
-    tmp = os.path.join(dataset_dir, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for ref in refs:
-            fh.write(f"{ref.case_id},{ref.image_path},{ref.label_path},{ref.seed}\n")
-    os.replace(tmp, os.path.join(dataset_dir, MANIFEST_NAME))
+    write_file(os.path.join(dataset_dir, MANIFEST_NAME),
+               *(f"{ref.case_id},{ref.image_path},{ref.label_path},{ref.seed}\n"
+                 for ref in refs))
 
 
 def read_manifest(dataset_dir) -> list[CaseRef]:

@@ -154,3 +154,38 @@ def test_loaded_model_predicts_identically(tmp_path):
     pa, _ = model_mod.forward(m, x, mode="eval")
     pb, _ = model_mod.forward(back, x, mode="eval")
     assert np.array_equal(pa, pb)
+
+
+def _write_entries(path, entries):
+    import zlib
+
+    body = b"".join(checkpoint._pack_entry(name, arr) for name, arr in entries)
+    path.write_bytes(b"DGRD" + struct.pack("<I", 1) + body
+                     + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize("target, change, message", [
+    ("opt.v.", "drop", "missing optimizer tensor 'opt.v."),
+    ("opt.m.", "reshape", "tensor 'opt.m.[^']*' has shape"),
+    ("model.", "reshape", "tensor 'model.[^']*' has shape"),
+])
+def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, message):
+    m = make_model()
+    state = make_state(m)
+    path = tmp_path / "m.dgrd"
+    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
+    entries.append(("opt.step", float(state.step)))
+    for n in m.param_table():
+        entries += [(f"opt.m.{n}", state.m[n]), (f"opt.v.{n}", state.v[n])]
+    save_checkpoint(m, state, tmp_path / "saved.dgrd")
+    _write_entries(path, entries)            # the real layout, before the change
+    assert path.read_bytes() == (tmp_path / "saved.dgrd").read_bytes()
+    i = next(i for i, (name, _) in enumerate(entries) if name.startswith(target))
+    if change == "drop":
+        del entries[i]
+    else:
+        entries[i] = (entries[i][0], np.zeros(np.asarray(entries[i][1]).size + 1))
+    _write_entries(path, entries)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)

@@ -138,6 +138,14 @@ def test_train_negative_sampler_value_is_config_error(tmp_path, setting):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_train_non_finite_loss_is_numeric_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run")] + TINY
+                  + ["--set", "train.learning_rate=1e300"])
+    assert rc == cli.EXIT_NUMERIC
+    assert "loss became non-finite" in capsys.readouterr().err
+
+
 def test_train_resume_matches_uninterrupted(tmp_path):
     data = gen(tmp_path)
     args = TINY + ["--set", "train.steps=4", "--set", "train.checkpoint_every=2"]
@@ -230,6 +238,16 @@ def test_eval_counts_empty_predictions(tmp_path, capsys):
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert [r.split(",")[-2:] for r in summary[1:]] == [["3", "3"]] * 6
     assert capsys.readouterr().out.count("3 flagged, 3 predicted empty") == 6
+
+
+def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    ckpt = tmp_path / "corrupt.dgrd"
+    ckpt.write_bytes(b"not a checkpoint")
+    rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
+                   "--checkpoint", str(ckpt)])
+    assert rc == cli.EXIT_IO
+    assert "bad magic" in capsys.readouterr().err
 
 
 def test_eval_needs_checkpoint_or_self_test(tmp_path):

@@ -1,5 +1,8 @@
-"""On-disk volume format and dataset manifest round trips."""
+"""On-disk volume format, dataset manifest round trips, and the one
+all-or-nothing file writer."""
 
+import ast
+import pathlib
 import struct
 
 import numpy as np
@@ -10,7 +13,7 @@ from dicegrad.errors import FormatError, IoError, ValidationError
 from dicegrad.tensor_core import Rng
 from dicegrad.volume_io import (CaseRef, LabeledVolume, load_case, load_dvol,
                                 read_manifest, save_case, save_dvol,
-                                write_manifest)
+                                write_file, write_manifest)
 
 
 def sample_volume(seed=0, size=6):
@@ -148,3 +151,58 @@ def test_load_case_spacing_mismatch(tmp_path):
     save_dvol(tmp_path / ref.label_path, vol.labels, (9.0, 9.0, 9.0))
     with pytest.raises(ValidationError, match="spacing"):
         load_case(tmp_path, ref)
+
+
+def test_write_file_replaces_whole_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old contents that are longer than the new ones\n")
+    write_file(path, "a\u00b5\r\n", b"\x00\xff", np.array([1.5], dtype="<f8"), "z\n")
+    assert path.read_bytes() == ("a\u00b5\r\n".encode("utf-8") + b"\x00\xff"
+                                 + struct.pack("<d", 1.5) + b"z\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_write_file_failure_part_way_keeps_old_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    # the first chunks reach the temp file before the lone surrogate fails to encode
+    with pytest.raises(UnicodeEncodeError):
+        write_file(path, "new\n" * 1000, b"more", "\ud800", "never\n")
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A Path.write_text/write_bytes call, or an open()/x.open() call whose
+    mode may write: a literal mode with w, a, x or +, or a mode that is not
+    a literal (os.open flags)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg in ("mode", "flags")), None)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return any(c in mode.value for c in "wax+")
+    return True
+
+
+def test_only_write_file_opens_files_for_writing():
+    package = pathlib.Path(volume_io.__file__).parent
+    offenders = []
+    for source in sorted(package.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        allowed = set()
+        if source.name == "volume_io.py":
+            writer = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "write_file")
+            allowed = {id(n) for n in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and _opens_for_writing(node)
+                    and id(node) not in allowed):
+                offenders.append(f"{source.name}:{node.lineno}")
+    assert offenders == [], f"files opened for writing outside write_file: {offenders}"
