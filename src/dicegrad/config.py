@@ -56,7 +56,7 @@ _SECTIONS = {
     "loss": (LossConfig, None),
     "sampler": (SamplerConfig, ("batch_size", "center_jitter_px", "augment", "flip_prob",
                                 "max_translation_px", "elastic_sigma", "elastic_alpha")),
-    "phantom": (PhantomSpec, ("volume_size", "noise_std", "low_contrast")),
+    "phantom": (PhantomSpec, None),
     "train": (TrainConfig, None),
     "compare": (CompareConfig, None),
 }

@@ -19,6 +19,9 @@ from .errors import SizeError, StateError
 KERNEL = 3
 PAD = 1
 
+# Batch-norm epsilon: added to the variance under the inverse square root.
+BN_EPS = 1e-5
+
 
 @dataclass
 class LayerParams:
@@ -35,7 +38,6 @@ class LayerParams:
     bn_running_mean: np.ndarray | None = None
     bn_running_var: np.ndarray | None = None
     bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
         y = np.square(xhat)
         # The same squares, sum and division as np.var: bitwise its result.
         var = y.sum(axis=(0, 2, 3)) / m
-        ivar = 1.0 / np.sqrt(var + p.bn_eps)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= ivar[None, :, None, None]
         np.multiply(p.bn_gamma[None, :, None, None], xhat, out=y)
         y += p.bn_beta[None, :, None, None]
@@ -162,7 +164,7 @@ def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
         p.bn_running_var = (1.0 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * var
         return y, (xhat, ivar, p.bn_gamma, m)
     if mode == "eval":
-        ivar = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
+        ivar = 1.0 / np.sqrt(p.bn_running_var + BN_EPS)
         y = x - p.bn_running_mean[None, :, None, None]
         y *= ivar[None, :, None, None]
         y *= p.bn_gamma[None, :, None, None]

@@ -103,7 +103,6 @@ def average_surface_distance(pred: np.ndarray, gt: np.ndarray, label: int,
 
 @dataclass
 class LabelMetrics:
-    label: int
     dsc: float
     asd_mm: float | None        # None when either mask is empty
     gt_voxels: int
@@ -113,7 +112,6 @@ class LabelMetrics:
 @dataclass
 class MetricsReport:
     per_label: dict[int, LabelMetrics]
-    spacing_mm: tuple[float, float, float]
 
 
 def _label_counts(volume: np.ndarray, num_labels: int, what: str) -> np.ndarray:
@@ -150,5 +148,5 @@ def evaluate_case(pred: np.ndarray, gt: LabeledVolume, num_labels: int) -> Metri
             asd = average_surface_distance(pred, gt.labels, label, gt.spacing_mm)
         else:
             asd = None
-        per_label[label] = LabelMetrics(label, dsc, asd, gt_n, pred_n)
-    return MetricsReport(per_label, tuple(gt.spacing_mm))
+        per_label[label] = LabelMetrics(dsc, asd, gt_n, pred_n)
+    return MetricsReport(per_label)

@@ -24,6 +24,9 @@ from . import layers
 from .errors import ConfigError, SizeError, StateError
 from .tensor_core import Rng
 
+# Tiles per eval-mode forward in `segment_volume`.
+MAX_BATCH = 16
+
 
 @dataclass
 class ModelConfig:
@@ -237,19 +240,18 @@ def _tile_starts(size: int, patch: int, stride: int) -> list[int]:
     return starts
 
 
-def segment_volume(m: SegModel, intensities: np.ndarray,
-                   stride: int | None = None, max_batch: int = 16) -> np.ndarray:
+def segment_volume(m: SegModel, intensities: np.ndarray) -> np.ndarray:
     """Label a whole volume [D, H, W] slice by slice in eval mode.
 
-    Slices larger than the patch size are covered with overlapping tiles
-    and the per-pixel probabilities averaged before the argmax; smaller
-    slices are zero-padded symmetrically and cropped back.  Each axial
-    slice is processed independently; batching tiles across slices is
+    Slices larger than the patch size are covered with tiles at a stride of
+    half a patch and the per-pixel probabilities averaged before the argmax;
+    smaller slices are zero-padded symmetrically and cropped back.  Each
+    axial slice is processed independently; batching tiles across slices is
     only a throughput detail (eval-mode batch norm keeps items separate).
     """
     cfg = m.cfg
     patch = cfg.patch_size
-    stride = patch // 2 if stride is None else stride
+    stride = patch // 2
     if intensities.ndim != 3:
         raise SizeError(f"expected volume [D, H, W], got {intensities.shape}")
     depth_z, height, width = intensities.shape
@@ -266,8 +268,8 @@ def segment_volume(m: SegModel, intensities: np.ndarray,
     ]
     prob_sum = np.zeros((depth_z, cfg.num_labels, hp, wp))
     hits = np.zeros((depth_z, 1, hp, wp))
-    for lo in range(0, len(tiles), max_batch):
-        chunk = tiles[lo:lo + max_batch]
+    for lo in range(0, len(tiles), MAX_BATCH):
+        chunk = tiles[lo:lo + MAX_BATCH]
         batch = np.stack([
             np.pad(intensities[z], pads)[y0:y0 + patch, x0:x0 + patch]
             for z, y0, x0 in chunk

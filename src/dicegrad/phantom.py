@@ -18,6 +18,13 @@ Small structures are painted last and therefore never lose voxels to the
 larger ones.  The label fractions land in the regime that motivates
 balanced sampling: the cross occupies well under 0.2% of the volume while
 background stays above 90%.
+
+Only the volume size, spacing, noise and `low_contrast` are settable
+(`PhantomSpec`).  Module constants fix the rest: the intensities
+`INTENSITY_AIR`, `INTENSITY_HEAD`, `INTENSITY_STEM`, `INTENSITY_JAW`,
+`INTENSITY_GLANDS_BIG` and `INTENSITY_GLANDS_SMALL`; the per-case jitter
+ranges `MAX_SHIFT_VOX`, `MAX_ROT_RAD`, `SCALE_LOW` and `SCALE_HIGH`; and
+`RETRIES`, the number of derived seeds tried per case.
 """
 
 from __future__ import annotations
@@ -36,47 +43,44 @@ FOREGROUND_LABELS = (1, 2, 3, 4, 5, 6)
 STEM, JAW, CROSS, TUBES, GLANDS_BIG, GLANDS_SMALL = FOREGROUND_LABELS
 
 
+# Absolute intensities; the analogs of soft structures sit within
+# `PhantomSpec.low_contrast` of the head tissue value.
+INTENSITY_AIR = 0.05
+INTENSITY_HEAD = 0.20
+INTENSITY_STEM = 0.32
+INTENSITY_JAW = 0.80
+INTENSITY_GLANDS_BIG = 0.34
+INTENSITY_GLANDS_SMALL = 0.30
+
+# Per-case affine jitter ranges, and the seeds tried per case.
+MAX_SHIFT_VOX = 3.0
+MAX_ROT_RAD = 0.12
+SCALE_LOW = 0.92
+SCALE_HIGH = 1.08
+RETRIES = 8
+
+
 @dataclass
 class PhantomSpec:
     volume_size: int = 64
     spacing_mm: tuple[float, float, float] = (1.2, 1.0, 1.0)
     noise_std: float = 0.02
-    # absolute intensities; the analogs of soft structures sit within
-    # `low_contrast` of the head tissue value
-    intensity_air: float = 0.05
-    intensity_head: float = 0.20
-    intensity_stem: float = 0.32
-    intensity_jaw: float = 0.80
-    intensity_glands_big: float = 0.34
-    intensity_glands_small: float = 0.30
     low_contrast: float = 0.08
-    # per-case affine jitter ranges
-    max_shift_vox: float = 3.0
-    max_rot_rad: float = 0.12
-    scale_low: float = 0.92
-    scale_high: float = 1.08
-    retries: int = 8
 
     def __post_init__(self):
         if self.volume_size < 32:
             raise ValidationError(f"volume_size must be >= 32, got {self.volume_size}")
         if self.noise_std < 0:
             raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not 0 < self.scale_low <= self.scale_high:
-            raise ValidationError("need 0 < scale_low <= scale_high")
-
-    @property
-    def num_labels(self) -> int:
-        return NUM_LABELS
 
 
 def _jittered_grid(spec: PhantomSpec, rng: Rng):
     """Voxel coordinates mapped through the inverse per-case affine, in
     canonical units where the volume spans [0, 64)."""
     n = spec.volume_size
-    shift = rng.uniform((3,), -spec.max_shift_vox, spec.max_shift_vox)
-    theta = float(rng.uniform((), -spec.max_rot_rad, spec.max_rot_rad))
-    scale = float(rng.uniform((), spec.scale_low, spec.scale_high))
+    shift = rng.uniform((3,), -MAX_SHIFT_VOX, MAX_SHIFT_VOX)
+    theta = float(rng.uniform((), -MAX_ROT_RAD, MAX_ROT_RAD))
+    scale = float(rng.uniform((), SCALE_LOW, SCALE_HIGH))
     zs = np.arange(n, dtype=float)[:, None, None]
     ys = np.arange(n, dtype=float)[None, :, None]
     xs = np.arange(n, dtype=float)[None, None, :]
@@ -143,7 +147,7 @@ _PAINT_ORDER = (STEM, JAW, GLANDS_BIG, GLANDS_SMALL, TUBES, CROSS)
 def generate_phantom(spec: PhantomSpec, case_seed: int) -> LabeledVolume:
     """Build one deterministic case; retries with derived seeds if the
     affine jitter pushes any structure fully outside the volume."""
-    for attempt in range(spec.retries):
+    for attempt in range(RETRIES):
         rng = Rng(case_seed).child(attempt)
         z, y, x = _jittered_grid(spec, rng.child(0))
         masks = _structure_masks(z, y, x)
@@ -155,19 +159,19 @@ def generate_phantom(spec: PhantomSpec, case_seed: int) -> LabeledVolume:
     else:
         raise SamplingError(
             f"case seed {case_seed}: a structure fell outside the volume "
-            f"in all {spec.retries} attempts"
+            f"in all {RETRIES} attempts"
         )
 
     intensity = {
-        STEM: spec.intensity_stem,
-        JAW: spec.intensity_jaw,
-        CROSS: spec.intensity_head + spec.low_contrast,
-        TUBES: spec.intensity_head + spec.low_contrast * 0.85,
-        GLANDS_BIG: spec.intensity_glands_big,
-        GLANDS_SMALL: spec.intensity_glands_small,
+        STEM: INTENSITY_STEM,
+        JAW: INTENSITY_JAW,
+        CROSS: INTENSITY_HEAD + spec.low_contrast,
+        TUBES: INTENSITY_HEAD + spec.low_contrast * 0.85,
+        GLANDS_BIG: INTENSITY_GLANDS_BIG,
+        GLANDS_SMALL: INTENSITY_GLANDS_SMALL,
     }
-    img = np.full(labels.shape, spec.intensity_air)
-    img[masks[0]] = spec.intensity_head
+    img = np.full(labels.shape, INTENSITY_AIR)
+    img[masks[0]] = INTENSITY_HEAD
     for label in _PAINT_ORDER:
         img[labels == label] = intensity[label]
     img += rng.child(1).normal(labels.shape, std=spec.noise_std)

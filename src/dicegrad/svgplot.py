@@ -43,23 +43,20 @@ def _line(parent, x1, y1, x2, y2, width=1.0, color="#222"):
 
 
 def box_plot(path, groups: dict[str, list[float]], title: str = "",
-             y_label: str = "", y_range: tuple[float, float] = (0.0, 1.0)) -> None:
-    """Write one SVG with a box-and-whisker group per dict entry."""
+             y_label: str = "") -> None:
+    """Write one SVG with a box-and-whisker group per dict entry, on a
+    value axis from 0 to 1 (values outside are drawn at its ends)."""
     if not groups:
         raise ValidationError("box_plot needs at least one group")
     for name, values in groups.items():
         if len(values) == 0:
             raise ValidationError(f"group {name!r} has no values")
-    y_lo, y_hi = y_range
-    if not y_hi > y_lo:
-        raise ValidationError(f"bad y_range {y_range}")
 
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B
 
     def ypix(v: float) -> float:
-        v = min(max(v, y_lo), y_hi)
-        return _MARGIN_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return _MARGIN_T + plot_h * (1.0 - min(max(v, 0.0), 1.0))
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -76,7 +73,7 @@ def box_plot(path, groups: dict[str, list[float]], title: str = "",
     _line(axes, _MARGIN_L, _MARGIN_T, _MARGIN_L, _MARGIN_T + plot_h)
     _line(axes, _MARGIN_L, _MARGIN_T + plot_h, _MARGIN_L + plot_w, _MARGIN_T + plot_h)
     for i in range(5):
-        v = y_lo + (y_hi - y_lo) * i / 4
+        v = i / 4
         y = ypix(v)
         _line(axes, _MARGIN_L - 4, y, _MARGIN_L, y)
         _text(axes, _MARGIN_L - 8, y + 4, f"{v:g}", size=11, anchor="end")

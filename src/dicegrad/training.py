@@ -118,12 +118,14 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
     for t in range(state.step, cfg.steps):
         batch = sampling.sample_balanced_batch(dataset, cfg.sampler, sampler_rng,
                                                start_index=t * batch_size)
-        p, tape = model_mod.forward(m, batch.images, "train")
-        res = compute_loss(p, batch.onehot, cfg.loss)
-        if not np.isfinite(res.value):
-            raise NumericError(f"loss became non-finite at step {t}")
-        grads = model_mod.backward(m, tape, res.grad_p)
-        adam_step(params, grads, state, cfg)
+        # Divergence is reported by the loss check and adam_step, not numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, tape = model_mod.forward(m, batch.images, "train")
+            res = compute_loss(p, batch.onehot, cfg.loss)
+            if not np.isfinite(res.value):
+                raise NumericError(f"loss became non-finite at step {t}")
+            grads = model_mod.backward(m, tape, res.grad_p)
+            adam_step(params, grads, state, cfg)
         record.losses.append((t, res.value))
         done = t + 1
         if out_dir is not None and cfg.checkpoint_every and done % cfg.checkpoint_every == 0:

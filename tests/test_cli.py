@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -140,10 +141,15 @@ def test_train_negative_sampler_value_is_config_error(tmp_path, setting):
 
 def test_train_non_finite_loss_is_numeric_error(tmp_path, capsys):
     data = gen(tmp_path)
-    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run")] + TINY
-                  + ["--set", "train.learning_rate=1e300"])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "run")] + TINY
+                      + ["--set", "train.learning_rate=1e300"])
     assert rc == cli.EXIT_NUMERIC
-    assert "loss became non-finite" in capsys.readouterr().err
+    # the error line alone: the layers' overflow warnings stay silent
+    assert capsys.readouterr().err == "error: loss became non-finite at step 1\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):

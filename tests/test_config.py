@@ -1,5 +1,7 @@
 """Config parsing, precedence, rendering, and dataclass builders."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,20 @@ def test_builder_validation_propagates():
     cfg = config.resolve(None, ["model.patch_size=30"])   # not divisible by 4
     with pytest.raises(Exception):
         config.model_config(cfg)
+
+
+def test_readme_lists_every_key_with_its_default():
+    # the README's "Configuration keys (defaults)" block, parsed with each
+    # key's own parser, must be exactly the resolved defaults
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("### Configuration keys (defaults)", 1)[1]
+    block = block.split("```", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        for pair in line.split("#", 1)[0].split():
+            key, value = pair.split("=", 1)
+            assert key not in listed, f"{key} listed twice"
+            listed[key] = config.SCHEMA[key][0](value)
+    assert listed == config.resolve()

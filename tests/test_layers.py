@@ -97,7 +97,7 @@ def test_batchnorm_eval_uses_running_stats():
                            bn_running_var=np.array([4.0, 0.25]))
     y, cache = layers.batchnorm(x, p, "eval")
     want = 2.0 * (x - p.bn_running_mean[None, :, None, None]) / np.sqrt(
-        p.bn_running_var[None, :, None, None] + p.bn_eps) + 0.5
+        p.bn_running_var[None, :, None, None] + layers.BN_EPS) + 0.5
     assert np.allclose(y, want, atol=1e-12)
     assert cache is None
     with pytest.raises(StateError):
@@ -243,7 +243,7 @@ def reference_batchnorm_train(x, gamma, beta, eps):
 
 
 def reference_batchnorm_eval(x, p):
-    ivar = 1.0 / np.sqrt(p.bn_running_var + p.bn_eps)
+    ivar = 1.0 / np.sqrt(p.bn_running_var + layers.BN_EPS)
     xhat = (x - p.bn_running_mean[None, :, None, None]) * ivar[None, :, None, None]
     return p.bn_gamma[None, :, None, None] * xhat + p.bn_beta[None, :, None, None]
 
@@ -297,14 +297,14 @@ def test_batchnorm_bitwise_equals_reference(shape):
     y, _ = layers.batchnorm(x, p, "eval")
     assert _same_bits(y, want_eval)
     rm, rv = p.bn_running_mean, p.bn_running_var
-    want_y, mean, var = reference_batchnorm_train(x, p.bn_gamma, p.bn_beta, p.bn_eps)
+    want_y, mean, var = reference_batchnorm_train(x, p.bn_gamma, p.bn_beta, layers.BN_EPS)
     y, cache = layers.batchnorm(x, p, "train")
     assert _same_bits(y, want_y)
     mom = p.bn_momentum
     assert _same_bits(p.bn_running_mean, (1.0 - mom) * rm + mom * mean)
     assert _same_bits(p.bn_running_var, (1.0 - mom) * rv + mom * var)
     got = layers.batchnorm_backward(cache, dy)
-    want = reference_batchnorm_backward(x, p.bn_gamma, p.bn_eps, dy)
+    want = reference_batchnorm_backward(x, p.bn_gamma, layers.BN_EPS, dy)
     assert all(_same_bits(g, r) for g, r in zip(got, want))
 
 

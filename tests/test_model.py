@@ -248,7 +248,7 @@ def test_segment_volume_tiling_average_oracle():
     # overlap columns must carry the mean of the two tile probabilities
     m = tiny(num_labels=3)
     vol = Rng(14).normal((2, 8, 12))
-    got = model.segment_volume(m, vol, stride=4)
+    got = model.segment_volume(m, vol)
     pa, _ = model.forward(m, vol[:, :, 0:8][:, None], mode="eval")
     pb, _ = model.forward(m, vol[:, :, 4:12][:, None], mode="eval")
     prob = np.zeros((2, 3, 8, 12))
@@ -279,10 +279,12 @@ def test_segment_volume_rejects_non_volume():
         model.segment_volume(m, np.zeros((8, 8)))
 
 
-def test_segment_volume_batch_chunking_invariant():
+def test_segment_volume_batch_chunking_invariant(monkeypatch):
     # chunk size must not affect the result
     m = tiny(num_labels=3)
     vol = Rng(16).normal((4, 12, 12))
-    a = model.segment_volume(m, vol, stride=4, max_batch=2)
-    b = model.segment_volume(m, vol, stride=4, max_batch=64)
+    monkeypatch.setattr(model, "MAX_BATCH", 2)
+    a = model.segment_volume(m, vol)
+    monkeypatch.setattr(model, "MAX_BATCH", 64)
+    b = model.segment_volume(m, vol)
     assert np.array_equal(a, b)

@@ -47,13 +47,13 @@ def test_structure_intensities_and_contrast():
     spec = PhantomSpec(noise_std=0.0)            # read off clean plateaus
     vol = generate_phantom(spec, 5)
     img, lab = vol.intensities, vol.labels
-    assert abs(img[lab == STEM].mean() - spec.intensity_stem) < 1e-12
-    assert abs(img[lab == JAW].mean() - spec.intensity_jaw) < 1e-12
+    assert abs(img[lab == STEM].mean() - phantom.INTENSITY_STEM) < 1e-12
+    assert abs(img[lab == JAW].mean() - phantom.INTENSITY_JAW) < 1e-12
     # jaw analog is high contrast; cross/tube analogs sit within
     # low_contrast of head tissue
-    assert img[lab == JAW].mean() - spec.intensity_head > 0.5
-    assert 0 < img[lab == CROSS].mean() - spec.intensity_head <= 0.1
-    assert 0 < img[lab == TUBES].mean() - spec.intensity_head <= 0.1
+    assert img[lab == JAW].mean() - phantom.INTENSITY_HEAD > 0.5
+    assert 0 < img[lab == CROSS].mean() - phantom.INTENSITY_HEAD <= 0.1
+    assert 0 < img[lab == TUBES].mean() - phantom.INTENSITY_HEAD <= 0.1
 
 
 def test_noise_statistics():
@@ -75,11 +75,12 @@ def test_volume_shape_and_spacing():
     assert vol.labels.dtype == np.int64
 
 
-def test_retry_exhaustion_raises():
+def test_retry_exhaustion_raises(monkeypatch):
     # a shift far beyond the volume throws every structure outside
-    spec = PhantomSpec(max_shift_vox=500.0, retries=3)
-    with pytest.raises(SamplingError):
-        generate_phantom(spec, 0)
+    monkeypatch.setattr(phantom, "MAX_SHIFT_VOX", 500.0)
+    monkeypatch.setattr(phantom, "RETRIES", 3)
+    with pytest.raises(SamplingError, match="in all 3 attempts"):
+        generate_phantom(PhantomSpec(), 0)
 
 
 def test_spec_validation():
@@ -87,10 +88,6 @@ def test_spec_validation():
         PhantomSpec(volume_size=16)
     with pytest.raises(ValidationError):
         PhantomSpec(noise_std=-0.1)
-    with pytest.raises(ValidationError):
-        PhantomSpec(scale_low=0.0)
-    with pytest.raises(ValidationError):
-        PhantomSpec(scale_low=1.2, scale_high=1.1)
 
 
 def test_case_seeds_disjoint_across_bases():

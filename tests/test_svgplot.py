@@ -10,7 +10,7 @@ from dicegrad.svgplot import box_plot
 NS = {"s": "http://www.w3.org/2000/svg"}
 
 # figure geometry from the module: 480x320 canvas, margins L56 R16 T34 B44
-# with the default (0, 1) value range, so value v maps to y = 34 + 242*(1-v)
+# with the fixed (0, 1) value range, so value v maps to y = 34 + 242*(1-v)
 def ypix(v):
     return 34 + 242 * (1 - v)
 
@@ -68,18 +68,8 @@ def test_values_clamp_to_range(tmp_path):
     assert min(ys) >= ypix(1.0)
 
 
-def test_custom_range(tmp_path):
-    root = render(tmp_path, {"a": [5.0]}, y_range=(0.0, 10.0))
-    (g,) = boxes(root)
-    median = [ln for ln in g.findall("s:line", NS)
-              if ln.get("stroke-width") == "2"]
-    assert float(median[0].get("y1")) == pytest.approx(ypix(0.5))
-
-
 def test_validation():
     with pytest.raises(ValidationError, match="at least one"):
         box_plot("/tmp/x.svg", {})
     with pytest.raises(ValidationError, match="no values"):
         box_plot("/tmp/x.svg", {"a": []})
-    with pytest.raises(ValidationError, match="y_range"):
-        box_plot("/tmp/x.svg", {"a": [1.0]}, y_range=(1.0, 1.0))
