@@ -8,10 +8,11 @@ softmax turns the scores into label probabilities.
 
 A train-mode forward records a tape, one (kind, key, cache) entry per unit,
 pooling, upsampling and the head, in execution order; an eval-mode forward
-keeps no cache, only the live activation and the skips.  The backward pass
-pops the entries and replays the matching layer backward functions, so the
-topology is written once; it splits the gradient at each skip concat
-between the upsampling path and the encoder output it was joined with.
+keeps no cache, only the live activation and the skips not yet concatenated.
+The backward pass pops the entries and replays the matching layer backward
+functions, so the topology is written once; it splits the gradient at each
+skip concat between the upsampling path and the encoder output it was
+joined with.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
     return m
 
 
-def _unit_forward(x, u: layers.LayerParams, mode: str):
+def _unit_forward(m: SegModel, name: str, x, mode: str, record):
+    """One conv-BN-ReLU unit; its cache goes straight to `record` and only
+    the output is returned, so in eval mode nothing of the unit outlives it."""
+    u = m.units[name]
     y, c_conv = layers.conv2d(x, u)
     y, c_bn = layers.batchnorm(y, u, mode)
     y, c_relu = layers.relu(y)
-    return y, (c_conv, c_bn, c_relu)
+    record(("unit", name, (c_conv, c_bn, c_relu)))
+    return y
 
 
 def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
@@ -150,21 +155,15 @@ def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
     return dx
 
 
-def _stage(m: SegModel, stage: str, h, mode: str, record):
-    """The stage's two units in order, each cache handed to `record`."""
-    for un in (f"{stage}.u0", f"{stage}.u1"):
-        h, cache = _unit_forward(h, m.units[un], mode)
-        record(("unit", un, cache))
-    return h
-
-
 def forward(m: SegModel, x: np.ndarray, mode: str):
     """Run the network on a batch [I, in_channels, P, P] in mode "train" or "eval".
 
     Returns (probabilities [I, L, P, P], tape); the tape, the (kind, key,
     cache) entries in execution order, is None in eval mode and must be
     handed unchanged to `backward` in train mode.  Eval mode records
-    nothing, so only the live activation and the skips stay alive.
+    nothing: each unit's cache is dropped as the unit returns, and each skip
+    and its concat are released once the decoder unit reading them has run,
+    so only the live activation and the pending skips stay alive.
     """
     cfg = m.cfg
     p_sz = cfg.patch_size
@@ -177,16 +176,21 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
     h = x
     skips = []
     for d in range(cfg.depth):
-        h = _stage(m, f"enc{d}", h, mode, record)
+        h = _unit_forward(m, f"enc{d}.u0", h, mode, record)
+        h = _unit_forward(m, f"enc{d}.u1", h, mode, record)
         skips.append(h)
         h, c = layers.maxpool2(h)
         record(("pool", d, c))
-    h = _stage(m, "mid", h, mode, record)
+    h = _unit_forward(m, "mid.u0", h, mode, record)
+    h = _unit_forward(m, "mid.u1", h, mode, record)
     for d in reversed(range(cfg.depth)):
         h, c = layers.bilinear_up2(h)
         record(("up", d, (c, h.shape[1])))     # where the concat's gradient splits
-        h = np.concatenate([h, skips[d]], axis=1)
-        h = _stage(m, f"dec{d}", h, mode, record)
+        # The skip is popped and the concat rebound after u0: neither is alive
+        # while u1 runs, unless the tape holds it.
+        h = np.concatenate([h, skips.pop()], axis=1)
+        h = _unit_forward(m, f"dec{d}.u0", h, mode, record)
+        h = _unit_forward(m, f"dec{d}.u1", h, mode, record)
     scores, c_head = layers.conv2d(h, m.final)
     p, c_soft = layers.softmax(scores)
     record(("head", "head", (c_head, c_soft)))
@@ -245,9 +249,12 @@ def segment_volume(m: SegModel, intensities: np.ndarray) -> np.ndarray:
 
     Slices larger than the patch size are covered with tiles at a stride of
     half a patch and the per-pixel probabilities averaged before the argmax;
-    smaller slices are zero-padded symmetrically and cropped back.  Each
-    axial slice is processed independently; batching tiles across slices is
-    only a throughput detail (eval-mode batch norm keeps items separate).
+    smaller slices are zero-padded symmetrically and cropped back.  Tiles
+    never span slices, so the volume is streamed in groups of whole slices,
+    as many as fill one batch of MAX_BATCH tiles (at least one slice): each
+    group's probabilities are summed, averaged and turned into labels before
+    the next group starts.  Eval-mode batch norm keeps items separate, so
+    the grouping is only a memory and throughput detail.
     """
     cfg = m.cfg
     patch = cfg.patch_size
@@ -257,27 +264,28 @@ def segment_volume(m: SegModel, intensities: np.ndarray) -> np.ndarray:
     depth_z, height, width = intensities.shape
     pad_h = max(0, patch - height)
     pad_w = max(0, patch - width)
-    pads = ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
+    pads = ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
     hp, wp = height + pad_h, width + pad_w
+    starts = [(y0, x0) for y0 in _tile_starts(hp, patch, stride)
+              for x0 in _tile_starts(wp, patch, stride)]
+    group = max(1, MAX_BATCH // len(starts))
+    crop = (slice(None), slice(None), slice(pads[1][0], pads[1][0] + height),
+            slice(pads[2][0], pads[2][0] + width))
 
-    tiles = [
-        (z, y0, x0)
-        for z in range(depth_z)
-        for y0 in _tile_starts(hp, patch, stride)
-        for x0 in _tile_starts(wp, patch, stride)
-    ]
-    prob_sum = np.zeros((depth_z, cfg.num_labels, hp, wp))
-    hits = np.zeros((depth_z, 1, hp, wp))
-    for lo in range(0, len(tiles), MAX_BATCH):
-        chunk = tiles[lo:lo + MAX_BATCH]
-        batch = np.stack([
-            np.pad(intensities[z], pads)[y0:y0 + patch, x0:x0 + patch]
-            for z, y0, x0 in chunk
-        ])[:, None]
-        probs, _ = forward(m, batch, mode="eval")
-        for (z, y0, x0), pr in zip(chunk, probs):
-            prob_sum[z, :, y0:y0 + patch, x0:x0 + patch] += pr
-            hits[z, :, y0:y0 + patch, x0:x0 + patch] += 1.0
-    avg = prob_sum / hits
-    avg = avg[:, :, pads[0][0]:pads[0][0] + height, pads[1][0]:pads[1][0] + width]
-    return predict_labels(avg)
+    labels = np.empty((depth_z, height, width), dtype=np.intp)
+    for z0 in range(0, depth_z, group):
+        slab = np.pad(intensities[z0:z0 + group], pads)
+        tiles = [(z, y0, x0) for z in range(len(slab)) for y0, x0 in starts]
+        prob_sum = np.zeros((len(slab), cfg.num_labels, hp, wp))
+        hits = np.zeros((len(slab), 1, hp, wp))
+        for lo in range(0, len(tiles), MAX_BATCH):
+            chunk = tiles[lo:lo + MAX_BATCH]
+            batch = np.stack([slab[z, y0:y0 + patch, x0:x0 + patch]
+                              for z, y0, x0 in chunk])[:, None]
+            probs, _ = forward(m, batch, mode="eval")
+            for (z, y0, x0), pr in zip(chunk, probs):
+                prob_sum[z, :, y0:y0 + patch, x0:x0 + patch] += pr
+                hits[z, :, y0:y0 + patch, x0:x0 + patch] += 1.0
+            del probs, pr       # not alive through the next forward
+        labels[z0:z0 + len(slab)] = predict_labels((prob_sum / hits)[crop])
+    return labels

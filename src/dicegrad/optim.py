@@ -44,7 +44,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
+            # Named from 0, as train's loss check and curve.csv name steps.
+            raise NumericError(f"non-finite gradient for parameter {name!r} "
+                               f"at step {t - 1}")
         m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g

@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import os
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from dicegrad import checkpoint, cli, gradcheck
+from dicegrad import checkpoint, cli, gradcheck, model
 
 
 TINY = [
@@ -90,6 +92,26 @@ def test_gradcheck_failure_exit_code(stub_checks, capsys):
     assert rc == cli.EXIT_CHECK_FAILED
     assert "FAIL" in out
     assert "2/4 checks passed" in out
+
+
+def test_gradcheck_nan_parameter_gradient_fails(monkeypatch, capsys):
+    # The real end-to-end check with one parameter's analytic gradient NaN:
+    # its error is NaN and must fail the row, not be folded away as 0.
+    monkeypatch.setattr(gradcheck, "run_layer_checks", lambda: [("conv/input", 1e-9)])
+    monkeypatch.setattr(gradcheck, "run_loss_checks", lambda: [("loss/bsd", 2e-7)])
+    inner = model.backward
+
+    def poisoned(m, tape, grad_p):
+        grads = inner(m, tape, grad_p)
+        grads["mid.u0.gamma"] = np.full_like(grads["mid.u0.gamma"], np.nan)
+        return grads
+
+    monkeypatch.setattr(model, "backward", poisoned)
+    rc = cli.main(["gradcheck"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert re.search(r"^FAIL  model/end_to_end +max_rel_err=nan$", out, re.M)
+    assert "2/3 checks passed" in out
 
 
 # ---------------------------------------------------------------------------

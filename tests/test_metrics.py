@@ -1,5 +1,7 @@
 """Overlap and surface-distance metrics against all-pairs brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -279,6 +281,25 @@ def test_asd_crop_far_apart_pairs(seed):
 def test_asd_crop_dense_speckle(seed):
     pred, gt = random_mask_pair(seed + 400, size=16, p=0.5)
     assert_asd_bitwise(pred, gt)
+
+
+def test_asd_speckle_memory_below_full_distance_arrays():
+    # A 1-in-7 speckle fills the 64^3 box.  The full-volume distance
+    # transform alone builds a float64 [3, 64, 64, 64] offset array; reading
+    # distances at the boundary voxels only must peak below it.
+    rng = Rng(21)
+    pred = rng.integers(0, 7, (64, 64, 64))
+    gt = rng.child(1).integers(0, 7, (64, 64, 64))
+    spacing = (1.2, 1.0, 0.9)
+    metrics.average_surface_distance(pred, gt, 3, spacing)
+    tracemalloc.start()
+    try:
+        got = metrics.average_surface_distance(pred, gt, 3, spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * pred.size * np.dtype(np.float64).itemsize, peak
+    assert got == full_volume_asd(pred, gt, 3, spacing)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Network topology, shapes, init, prediction, and sliding-window inference."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -161,23 +162,41 @@ def test_backward_releases_the_tape(monkeypatch):
 def test_eval_forward_keeps_no_cache(monkeypatch):
     # Eval mode records no tape: when the head runs, no unit input is alive
     # but the network input, which the caller holds.  Train mode keeps all ten.
+    # While dec{d}.u1 runs in eval mode, its stage's skip (the pooled encoder
+    # output) and concat (dec{d}.u0's input) are released as well.
     m = tiny(depth=2, patch=8)
     x = Rng(4).normal((2, 1, 8, 8))
-    inner = layers.conv2d
+    names = {id(u): name for name, u in m.units.items()}
+    inner, inner_pool = layers.conv2d, layers.maxpool2
     inputs, alive_at_head = [], {}
+    skips, concats, alive_at_dec_u1 = [], {}, {}
 
     def recording(xv, params):
-        if params is m.final:
+        name = names.get(id(params), "head")
+        if name == "head":
             alive_at_head[mode] = sum(r() is not None for r in inputs)
+        elif name.startswith("dec") and mode == "eval":
+            d = int(name[3])
+            if name.endswith("u0"):
+                concats[d] = weakref.ref(xv)
+            else:
+                alive_at_dec_u1[d] = (skips[d]() is not None, concats[d]() is not None)
         inputs.append(weakref.ref(xv))
         return inner(xv, params)
 
+    def pooling(xv):
+        skips.append(weakref.ref(xv))
+        return inner_pool(xv)
+
     monkeypatch.setattr(layers, "conv2d", recording)
+    monkeypatch.setattr(layers, "maxpool2", pooling)
     for mode in ("eval", "train"):
         inputs.clear()
+        skips.clear()
         model.forward(m, x, mode=mode)
         assert len(inputs) == 11, mode
     assert alive_at_head == {"eval": 1, "train": 10}
+    assert alive_at_dec_u1 == {0: (False, False), 1: (False, False)}
 
 
 def test_backward_skips_only_the_input_gradient(monkeypatch):
@@ -288,3 +307,65 @@ def test_segment_volume_batch_chunking_invariant(monkeypatch):
     monkeypatch.setattr(model, "MAX_BATCH", 64)
     b = model.segment_volume(m, vol)
     assert np.array_equal(a, b)
+
+
+def whole_volume_segment(m, vol):
+    """Reference: every tile of the volume in one list, cut into batches of
+    MAX_BATCH across slices, summed into [D, L, H, W] before one argmax."""
+    patch = m.cfg.patch_size
+    depth_z, height, width = vol.shape
+    pad_h, pad_w = max(0, patch - height), max(0, patch - width)
+    pads = ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
+    hp, wp = height + pad_h, width + pad_w
+    tiles = [(z, y0, x0) for z in range(depth_z)
+             for y0 in model._tile_starts(hp, patch, patch // 2)
+             for x0 in model._tile_starts(wp, patch, patch // 2)]
+    prob_sum = np.zeros((depth_z, m.cfg.num_labels, hp, wp))
+    hits = np.zeros((depth_z, 1, hp, wp))
+    for lo in range(0, len(tiles), model.MAX_BATCH):
+        chunk = tiles[lo:lo + model.MAX_BATCH]
+        batch = np.stack([np.pad(vol[z], pads)[y0:y0 + patch, x0:x0 + patch]
+                          for z, y0, x0 in chunk])[:, None]
+        probs, _ = model.forward(m, batch, mode="eval")
+        for (z, y0, x0), pr in zip(chunk, probs):
+            prob_sum[z, :, y0:y0 + patch, x0:x0 + patch] += pr
+            hits[z, :, y0:y0 + patch, x0:x0 + patch] += 1.0
+    avg = (prob_sum / hits)[:, :, pads[0][0]:pads[0][0] + height,
+                            pads[1][0]:pads[1][0] + width]
+    return model.predict_labels(avg)
+
+
+@pytest.mark.parametrize("max_batch", [2, 3, 64])
+@pytest.mark.parametrize("hw", [(8, 8), (8, 12), (5, 6), (12, 12)])
+def test_segment_volume_stream_matches_whole_volume(monkeypatch, max_batch, hw):
+    # exact fit (1 tile a slice), 8x12 overlap (2), padded 5x6 (1) and 12x12
+    # (4, more than a batch of 2 or 3): slice groups cut at different places
+    m = tiny(num_labels=4)
+    vol = Rng(18).normal((7,) + hw)
+    monkeypatch.setattr(model, "MAX_BATCH", max_batch)
+    got = model.segment_volume(m, vol)
+    want = whole_volume_segment(m, vol)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn, *args):
+    fn(*args)        # warm caches (interpolation tables) outside the trace
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segment_volume_memory_does_not_grow_with_depth():
+    # 12x12 slices of 4 tiles: a group is 4 slices.  Eight groups must peak
+    # within a few kB of one, apart from the larger returned label volume;
+    # a [D, L, H, W] accumulation grows by 7 such volumes.
+    m = tiny(num_labels=3)
+    small, large = (Rng(19).normal((d, 12, 12)) for d in (4, 32))
+    labels_growth = (32 - 4) * 12 * 12 * np.dtype(np.intp).itemsize
+    peak_small = _traced_peak(model.segment_volume, m, small)
+    peak_large = _traced_peak(model.segment_volume, m, large)
+    assert peak_large - peak_small <= labels_growth + 8192, (peak_small, peak_large)

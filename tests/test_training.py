@@ -91,6 +91,31 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(params, {"w": np.array([np.nan])}, state, fast_cfg())
 
 
+def test_adam_numbers_a_non_finite_step_as_curve_csv_does(tiny_world, tmp_path, monkeypatch):
+    # curve.csv numbers steps from 0, and so does Adam's error: on a fresh
+    # state it is step 0, and after two clean steps (rows 0 and 1) step 2.
+    params = {"w": np.array([1.0])}
+    with pytest.raises(NumericError, match="'w' at step 0$"):
+        adam_step(params, {"w": np.array([np.inf])}, AdamState.fresh(params), fast_cfg())
+    dataset, _, model_cfg = tiny_world
+    train(build_model(model_cfg, Rng(1)), dataset, fast_cfg(steps=2), out_dir=str(tmp_path))
+    rows = (tmp_path / "curve.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["step", "0", "1"]
+    inner = training.model_mod.backward
+    calls = []
+
+    def poisoned(m, tape, grad_p):
+        grads = inner(m, tape, grad_p)
+        calls.append(None)
+        if len(calls) == 3:
+            grads["head.bias"] = np.full_like(grads["head.bias"], np.nan)
+        return grads
+
+    monkeypatch.setattr(training.model_mod, "backward", poisoned)
+    with pytest.raises(NumericError, match="'head.bias' at step 2$"):
+        train(build_model(model_cfg, Rng(1)), dataset, fast_cfg(steps=3))
+
+
 def test_train_config_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
