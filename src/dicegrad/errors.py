@@ -14,10 +14,6 @@ class SizeError(DicegradError, ValueError):
     """Shape or length mismatch between operands."""
 
 
-class AxisError(DicegradError, ValueError):
-    """Reduction axis outside the operand's rank."""
-
-
 class ValidationError(DicegradError, ValueError):
     """Input violates a documented precondition (non-one-hot labels, ...)."""
 

@@ -101,7 +101,7 @@ def check_relu() -> dict:
 def check_maxpool() -> dict:
     rng = Rng(3)
     x = rng.normal((2, 2, 6, 6))
-    # perturb away from ties so the argmax is stable under the FD step
+    # perturb away from ties so the window maximum is stable under the FD step
     x += rng.child(1).uniform(x.shape, 0.0, 1e-3)
     w_out = rng.child(2).normal((2, 2, 3, 3))
     return _check_layer(layers.maxpool2, layers.maxpool2_backward, {"input": x}, w_out)

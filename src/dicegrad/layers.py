@@ -44,18 +44,32 @@ class LayerParams:
 # 3x3 convolution
 # ---------------------------------------------------------------------------
 
+def _flat_padded(C: int, H: int, W: int):
+    """Zeroed flat padded plane xf [C, Hp*Wp + 2] and a view of its interior.
+
+    Row i, column j of the padded plane sits at xf[:, i*Wp + j], so the
+    window of tap (u,v) is the contiguous run xf[:, u*Wp + v:][:, :H*Wp].
+    The two-element tail lets the last tap's window run past the final
+    padded row.  The pad ring is never written, so one buffer serves every
+    batch item.
+    """
+    Hp, Wp = H + 2 * PAD, W + 2 * PAD
+    xf = np.zeros((C, Hp * Wp + 2))
+    interior = xf[:, :Hp * Wp].reshape(C, Hp, Wp)[:, PAD:PAD + H, PAD:PAD + W]
+    return xf, interior
+
+
 def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Same-size 3x3 cross-correlation of `x` [B,Cin,H,W] with `taps` [Cout,Cin,3,3].
 
     Computed per batch item as one GEMM per kernel tap (u,v) against a
-    shifted window of the flattened, zero-padded plane xf [Cin, Hp*Wp + 2]:
+    shifted window of the flattened, zero-padded plane xf (`_flat_padded`):
 
         A[o, i*Wp + j] = sum_{u,v} sum_c taps[o,c,u,v] * xf[c, u*Wp + v + i*Wp + j]
         y[o,i,j]       = A[o, i*Wp + j]   for j < W
 
     Because a row of the window is Wp wide, output columns j >= W wrap into
-    the next padded row; they are computed and cropped.  The two-element
-    tail lets the last tap's window run past the final padded row.
+    the next padded row; they are computed and cropped.
 
     Each output element is the same BLAS dot product over Cin as in a single
     [9*Cout, Cin] x [Cin, Hp*Wp] GEMM, and the taps are summed in the same
@@ -65,7 +79,7 @@ def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """
     B, C, H, W = x.shape
     O = taps.shape[0]
-    Hp, Wp = H + 2 * PAD, W + 2 * PAD
+    Wp = W + 2 * PAD
     n = H * Wp
     # Contiguous [rows, Cin] per tap, as a strided slice would not reach BLAS.
     # numpy sends a one-row product to gemv, whose dot order differs from
@@ -73,8 +87,7 @@ def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     rows = max(O, 2)
     tap_mats = np.zeros((3, 3, rows, C))
     tap_mats[:, :, :O] = taps.transpose(2, 3, 0, 1)
-    xf = np.zeros((C, Hp * Wp + 2))
-    interior = xf[:, :Hp * Wp].reshape(C, Hp, Wp)[:, PAD:PAD + H, PAD:PAD + W]
+    xf, interior = _flat_padded(C, H, W)
     acc = np.empty((rows, n))
     part = np.empty((rows, n))
     y = np.empty((B, O, H, W))
@@ -91,6 +104,31 @@ def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return y
 
 
+def _corr3x3_one_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """`_corr3x3` for a one-channel `x` [B,1,H,W]: per batch item, the nine
+    shifted windows of the padded plane are unfolded into cols [9, H*W]
+    (im2col), and y[b] = taps [Cout, 9] @ cols is one GEMM.
+
+    With Cin = 1 every per-tap GEMM of `_corr3x3` is an outer product, so
+    the unfold replaces nine thin GEMMs and eight accumulations by one
+    product with a dot of length 9; each output element is the same sum of
+    nine products, rounded in BLAS order rather than tap order.
+    """
+    B, _, H, W = x.shape
+    O = taps.shape[0]
+    xp = np.zeros((H + 2 * PAD, W + 2 * PAD))
+    cols = np.empty((3, 3, H, W))
+    w = taps.reshape(O, 9)
+    y = np.empty((B, O, H, W))
+    for b in range(B):
+        xp[PAD:PAD + H, PAD:PAD + W] = x[b, 0]
+        for u in range(3):
+            for v in range(3):
+                cols[u, v] = xp[u:u + H, v:v + W]
+        np.matmul(w, cols.reshape(9, H * W), out=y[b].reshape(O, H * W))
+    return y
+
+
 def conv2d(x: np.ndarray, p: LayerParams):
     """3x3 "same" convolution: y[b,o,i,j] = bias[o] + sum_{c,u,v} W[o,c,u,v]*xpad[b,c,i+u,j+v]."""
     w, bias = p.weights, p.bias
@@ -98,7 +136,7 @@ def conv2d(x: np.ndarray, p: LayerParams):
         raise SizeError(f"expected rank-4 input, got shape {x.shape}")
     if x.shape[1] != w.shape[1]:
         raise SizeError(f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}")
-    y = _corr3x3(x, w)
+    y = _corr3x3_one_channel(x, w) if x.shape[1] == 1 else _corr3x3(x, w)
     y += bias[None, :, None, None]
     return y, (x, w)
 
@@ -107,30 +145,37 @@ def conv2d_backward(cache, dy: np.ndarray, need_dx: bool = True):
     """Gradients of conv2d with respect to input, weights, and bias.
 
     dx is the correlation of dy with the spatially flipped, channel-transposed
-    kernel; dW accumulates, per tap (u,v), the inner product of dy with the
-    correspondingly shifted padded input.  With `need_dx` false, dx is None
-    and its correlation is skipped (the network input needs no gradient).
+    kernel.  dW is formed per batch item and per tap (u,v): the dy plane,
+    zero-padded to the padded row width Wp and flattened to [Cout, H*Wp],
+    times the transposed window of tap (u,v) of the flat padded input
+    (`_flat_padded`), whose wrapped columns meet the zero pad of dy.  With
+    `need_dx` false, dx is None and its correlation is skipped (the network
+    input needs no gradient).
     """
     x, w = cache
     B, C, H, W = x.shape
     O = w.shape[0]
-    Hp, Wp = H + 2 * PAD, W + 2 * PAD
+    Wp = W + 2 * PAD
+    n = H * Wp
 
     dx = _corr3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_dx else None
     db = dy.sum(axis=(0, 2, 3))
 
-    xpad = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    dw_mat = np.zeros((9 * O, C))
-    # The pad ring of each (u,v) pane is never written, so zero it once and
-    # let the interior be overwritten per batch item.
-    buf = np.zeros((3, 3, O, Hp, Wp))
+    xf, interior = _flat_padded(C, H, W)
+    dyp = np.zeros((O, H, Wp))
+    dy_plane = dyp[:, :, :W]
+    dy_flat = dyp.reshape(O, n)
+    dw_mat = np.zeros((3, 3, O, C))
+    part = np.empty((O, C))
     for b in range(B):
-        dyb = dy[b]
+        interior[:] = x[b]
+        dy_plane[:] = dy[b]
         for u in range(3):
             for v in range(3):
-                buf[u, v, :, u:u + H, v:v + W] = dyb
-        dw_mat += buf.reshape(9 * O, Hp * Wp) @ xpad[b].reshape(C, Hp * Wp).T
-    dw = dw_mat.reshape(3, 3, O, C).transpose(2, 3, 0, 1)
+                off = u * Wp + v
+                np.matmul(dy_flat, xf[:, off:off + n].T, out=part)
+                dw_mat[u, v] += part
+    dw = dw_mat.transpose(2, 3, 0, 1)
     return dx, dw, db
 
 
@@ -143,26 +188,25 @@ def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
 
     Train mode normalizes with the biased batch statistics, scales by gamma
     and shifts by beta, and folds the batch statistics into the running
-    averages: running <- (1 - momentum)*running + momentum*batch.  Eval mode
-    normalizes with the stored running statistics (initialized to mean 0,
-    var 1, so eval before any update is well defined).
+    averages: running <- (1 - momentum)*running + momentum*batch.  It applies
+    gamma*ivar as one per-channel scale to the centred input xc = x - mean,
+    which is what the cache keeps.  Eval mode normalizes with the stored
+    running statistics (initialized to mean 0, var 1, so eval before any
+    update is well defined).
     """
     if mode == "train":
         m = x.shape[0] * x.shape[2] * x.shape[3]
         if m < 2:
             raise SizeError(f"batch-norm needs >= 2 values per channel, got {m}")
         mean = x.mean(axis=(0, 2, 3))
-        xhat = x - mean[None, :, None, None]
-        y = np.square(xhat)
-        # The same squares, sum and division as np.var: bitwise its result.
-        var = y.sum(axis=(0, 2, 3)) / m
+        xc = x - mean[None, :, None, None]
+        var = np.einsum("bchw,bchw->c", xc, xc) / m
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= ivar[None, :, None, None]
-        np.multiply(p.bn_gamma[None, :, None, None], xhat, out=y)
+        y = xc * (p.bn_gamma * ivar)[None, :, None, None]
         y += p.bn_beta[None, :, None, None]
         p.bn_running_mean = (1.0 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
         p.bn_running_var = (1.0 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * var
-        return y, (xhat, ivar, p.bn_gamma, m)
+        return y, (xc, ivar, p.bn_gamma, m)
     if mode == "eval":
         ivar = 1.0 / np.sqrt(p.bn_running_var + BN_EPS)
         y = x - p.bn_running_mean[None, :, None, None]
@@ -175,23 +219,23 @@ def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
 
 def batchnorm_backward(cache, dy: np.ndarray):
     """Full analytic batch-norm gradient, including the dependence of the
-    batch mean and variance on the input:
+    batch mean and variance on the input.  With xhat = xc*ivar,
 
         dx = gamma*ivar/M * (M*dy - sum(dy) - xhat*sum(dy*xhat))
 
-    with the sums taken per channel over (batch, height, width).
+    and the sums taken per channel over (batch, height, width).  With
+    k = gamma*ivar per channel it is applied as one scale of dy, one of xc
+    and one shift: dx = k*dy - (k*ivar*dgamma/M)*xc - k*dbeta/M.
     """
     if cache is None:
         raise StateError("batchnorm_backward requires a train-mode cache")
-    xhat, ivar, gamma, m = cache
-    dbeta = dy.sum(axis=(0, 2, 3))
-    t = dy * xhat
-    dgamma = t.sum(axis=(0, 2, 3))
-    np.multiply(xhat, dgamma[None, :, None, None], out=t)
-    dx = m * dy
-    dx -= dbeta[None, :, None, None]
-    dx -= t
-    dx *= (gamma * ivar / m)[None, :, None, None]
+    xc, ivar, gamma, m = cache
+    dbeta = np.einsum("bchw->c", dy)
+    dgamma = np.einsum("bchw,bchw->c", dy, xc) * ivar
+    k = gamma * ivar
+    dx = dy * k[None, :, None, None]
+    dx += xc * (-k * ivar * dgamma / m)[None, :, None, None]
+    dx += (-k * dbeta / m)[None, :, None, None]
     return dx, dgamma, dbeta
 
 
@@ -213,30 +257,41 @@ def relu_backward(cache, dy: np.ndarray):
 # 2x2 max pooling
 # ---------------------------------------------------------------------------
 
-def maxpool2(x: np.ndarray):
-    """2x2 max pooling with stride 2.
+# 2x2 window positions (u, v) in row-major order, indexed 0..3.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    Ties resolve to the first maximum in row-major window order, which is
-    what the backward pass routes the gradient to.
+
+def maxpool2(x: np.ndarray):
+    """2x2 max pooling with stride 2: the maximum of the four strided views
+    x[:, :, u::2, v::2].
+
+    Ties resolve to the first maximum in row-major window order, and a
+    window holding a NaN to its first NaN, which is `argmax`'s rule.  The
+    cache is that window index as uint8, so the backward routes without
+    holding `x`.
     """
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     if H % 2 or W % 2:
         raise SizeError(f"maxpool2 needs even spatial dims, got {H}x{W}")
-    win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        B, C, H // 2, W // 2, 4
-    )
-    idx = win.argmax(axis=-1)
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return y, (idx, (B, C, H, W))
+    views = [x[:, :, u::2, v::2] for u, v in _WINDOW]
+    y = np.maximum(views[0], views[1])
+    np.maximum(y, views[2], out=y)
+    np.maximum(y, views[3], out=y)
+    idx = np.full(y.shape, 3, dtype=np.uint8)
+    for k in (2, 1, 0):         # the earliest hit is written last
+        hit = views[k] == y
+        hit |= views[k] != views[k]         # NaN
+        np.copyto(idx, k, where=hit)
+    return y, idx
 
 
 def maxpool2_backward(cache, dy: np.ndarray):
-    idx, (B, C, H, W) = cache
-    dwin = np.zeros((B, C, H // 2, W // 2, 4))
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-    return dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        B, C, H, W
-    )
+    idx = cache
+    B, C, h, w = idx.shape
+    dx = np.empty((B, C, 2 * h, 2 * w))
+    for k, (u, v) in enumerate(_WINDOW):
+        dx[:, :, u::2, v::2] = np.where(idx == k, dy, 0.0)
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor_core import reduce_sum
 
 LOSS_KINDS = ("ce", "wce", "sd", "bsd")
 DICE_LABEL_MODES = ("joint", "per_label_mean")
@@ -88,7 +87,7 @@ def _check_onehot(r: np.ndarray) -> None:
 
 def label_counts(r: np.ndarray) -> np.ndarray:
     """Per-label pixel counts over the whole mini-batch, shape [L]."""
-    return reduce_sum(r, axes=(0, 2, 3))
+    return np.sum(r, axis=(0, 2, 3))
 
 
 def pixel_weights(r: np.ndarray) -> np.ndarray:
@@ -115,7 +114,7 @@ def _cross_entropy(p: np.ndarray, r: np.ndarray, cfg: LossConfig,
     safe = np.maximum(p, cfg.prob_clamp)
     term = r * np.log(safe)
     grad = np.where(p < cfg.prob_clamp, 0.0, r / safe)
-    value = -float(reduce_sum(term * w)) / n
+    value = -float(np.sum(term * w)) / n
     return LossResult(value, -grad * w / n)
 
 
@@ -127,15 +126,15 @@ def _soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig, pooled: bool) -> L
     the labels together, per_label_mean keeps one quotient per label.  The
     gradient of each quotient is constant over the pixels of its group.
     """
-    inter = reduce_sum(p * r, axes=(2, 3))              # [I, L]
-    mass = reduce_sum(p + r, axes=(2, 3))
+    inter = np.sum(p * r, axis=(2, 3))                  # [I, L]
+    mass = np.sum(p + r, axis=(2, 3))
     if pooled:
-        inter = reduce_sum(inter, axes=(0,))[None]      # [1, L]
-        mass = reduce_sum(mass, axes=(0,))[None]
+        inter = np.sum(inter, axis=0)[None]             # [1, L]
+        mass = np.sum(mass, axis=0)[None]
     if cfg.dice_label_mode == "joint":
         ls = slice(None)
-        inter = reduce_sum(inter, axes=(1,))[:, None]   # [G, 1]
-        mass = reduce_sum(mass, axes=(1,))[:, None]
+        inter = np.sum(inter, axis=1)[:, None]          # [G, 1]
+        mass = np.sum(mass, axis=1)[:, None]
     else:
         ls = slice(0 if cfg.include_background else 1, None)
         if ls.start >= p.shape[1]:
@@ -144,7 +143,7 @@ def _soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig, pooled: bool) -> L
     num = 2.0 * inter + cfg.epsilon
     den = mass + cfg.epsilon
     q = num.size
-    value = float(reduce_sum(1.0 - num / den)) / q
+    value = float(np.sum(1.0 - num / den)) / q
     # d/dp of -(num/den) by the quotient rule
     a = (num / den**2 / q)[:, :, None, None]
     b = (2.0 / den / q)[:, :, None, None]

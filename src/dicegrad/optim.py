@@ -36,6 +36,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     `cfg` supplies learning_rate, adam_beta1, adam_beta2 and adam_eps (a
     `training.TrainConfig`).
     """
+    # Every gradient is checked before anything is touched, so a failed
+    # step leaves the parameters, the moments and the step count as they were.
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            # Named from 0, as train's loss check and curve.csv name steps.
+            raise NumericError(f"non-finite gradient for parameter {name!r} "
+                               f"at step {state.step}")
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -43,10 +50,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     corr2 = 1.0 - b2 ** t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            # Named from 0, as train's loss check and curve.csv name steps.
-            raise NumericError(f"non-finite gradient for parameter {name!r} "
-                               f"at step {t - 1}")
         m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g

@@ -1,8 +1,7 @@
-"""The ordered reduction and the deterministic random number source.
+"""The deterministic random number source.
 
 Tensors are plain C-contiguous ``numpy`` arrays of ``float64``, rank-4
-``(batch, channel, height, width)`` for image data.  `reduce_sum` gives
-sums a documented accumulation order and returns a new array; `Rng` is the
+``(batch, channel, height, width)`` for image data.  `Rng` is the
 splittable seeded stream every random draw in the project comes from.
 """
 
@@ -10,36 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AxisError
-
 Tensor = np.ndarray
-
-
-def reduce_sum(t: Tensor, axes=None) -> Tensor:
-    """Sum over `axes` (all axes when None), removing the reduced dims.
-
-    Accumulation is a strict left-to-right linear scan in row-major order of
-    the reduced elements, so the result is bitwise-equal to a sequential
-    accumulator oracle.  Reducing every axis yields a shape-() scalar tensor.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if axes is None:
-        axes = tuple(range(t.ndim))
-    else:
-        axes = tuple(sorted({int(a) for a in axes}))
-    for a in axes:
-        if a < 0 or a >= t.ndim:
-            raise AxisError(f"axis {a} out of range for rank-{t.ndim} tensor")
-    if not axes:
-        return t.copy()
-    keep = tuple(i for i in range(t.ndim) if i not in axes)
-    moved = np.transpose(t, keep + axes)
-    flat = np.ascontiguousarray(moved).reshape(
-        tuple(t.shape[i] for i in keep) + (-1,)
-    )
-    # cumsum is defined as the sequential recurrence r[i] = r[i-1] + x[i],
-    # which pins the accumulation order.
-    return np.cumsum(flat, axis=-1)[..., -1]
 
 
 class Rng:

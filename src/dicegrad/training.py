@@ -263,7 +263,14 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
             except Exception as exc:
                 failed.append((kind, seed, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: (r.loss_kind, r.seed, r.case_id, r.label))
+    return CompareReport(results, failed, compare_verdicts(results, cmp_cfg))
 
+
+def compare_verdicts(results: list[CaseResult], cmp_cfg: CompareConfig) -> list[str]:
+    """One line per small label: in how many seeds batch-pooled Dice beats
+    cross-entropy on mean DSC, the three mean DSCs, and whether bsd's mean
+    exceeds sd's.  A function of the rows alone, so the committed
+    verdicts can be rebuilt from the committed CSV."""
     verdicts = []
     for label in cmp_cfg.small_labels:
         n_win = sum(
@@ -278,7 +285,7 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
             f"(mean dsc bsd {bsd_mean:.3f}, sd {sd_mean:.3f}, ce {ce_mean:.3f}); "
             f"bsd mean > sd mean: {'yes' if bsd_mean > sd_mean else 'no'}"
         )
-    return CompareReport(results, failed, verdicts)
+    return verdicts
 
 
 def write_comparison_csv(path, results: list[CaseResult]) -> None:

@@ -5,7 +5,7 @@ barrier so the verdicts are visible in any pytest run, then asserts.
 Criterion 5 checks the committed loss-comparison artifacts under
 results/compare/; regenerate them with
 
-    DICEGRAD_THREADS=1 dicegrad compare --data <dataset> --out results/compare \
+    DICEGRAD_THREADS=2 dicegrad compare --data <dataset> --out results/compare \
         --set model.base_channels=9
 
 where <dataset> is a default `dicegrad gen-data` output directory.
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicegrad import cli, gradcheck, losses, metrics
+from dicegrad import cli, config, gradcheck, losses, metrics, training
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "compare"
 
@@ -353,6 +353,21 @@ def test_criterion_5_loss_comparison(capsys):
            "; ".join(parts) + f"; label-3 bounds bsd>={BSD_FLOOR} ce<={CE_CEIL}: "
            f"{bounds_ok}; {core_seconds / 60:.0f} core-min "
            f"< {BUDGET_CORE_SECONDS // 60}")
+
+
+def test_committed_verdicts_rebuild_from_committed_rows():
+    # verdicts.txt is a function of compare_results.csv and the study's
+    # compare settings; a verdict rule changed without re-running the study
+    # would leave the committed file stale.
+    with open(RESULTS_DIR / "compare_results.csv", newline="") as fh:
+        rows = [training.CaseResult(r["loss"], int(r["seed"]), r["case_id"], int(r["label"]),
+                                    float(r["dsc"]),
+                                    float(r["asd_mm"]) if r["asd_mm"] else None)
+                for r in csv.DictReader(fh)]
+    cfg = config.resolve((RESULTS_DIR / "effective_config.cfg").read_text())
+    lines = training.compare_verdicts(rows, config.compare_config(cfg))
+    want = (RESULTS_DIR / "verdicts.txt").read_bytes()
+    assert "".join(line + "\n" for line in lines).encode() == want
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,9 @@ def test_softmax_gradients():
 
 
 # ---------------------------------------------------------------------------
-# Bitwise regression: the nine-shift conv and the temporary-heavy batch norm
+# Regression against the nine-shift conv, the temporary-heavy batch norm and
+# the argmax max-pool: bitwise where the arithmetic is the same, within
+# REL_TOL where the kernel rounds in another order
 # ---------------------------------------------------------------------------
 
 def nine_shift_corr3x3(x, taps):
@@ -263,6 +265,17 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# Largest difference from the reference, relative to the reference's largest
+# magnitude: the one-channel unfold, the per-tap dW and the folded train-mode
+# batch norm sum the same products in another order.
+REL_TOL = 1e-12
+
+
+def _rel_err(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 # (batch, in channels, out channels, height, width): one input channel, one
 # output channel (each a one-row product in one of the two correlations),
 # odd and non-square planes, batch 1, and the study's largest dX shape.
@@ -278,10 +291,15 @@ def test_conv_bitwise_equals_nine_shift_reference(shape):
     p = _conv_params(rng.child(1), C, O)
     dy = rng.child(2).normal((B, O, H, W))
     y, cache = layers.conv2d(x, p)
-    assert _same_bits(y, nine_shift_corr3x3(x, p.weights) + p.bias[None, :, None, None])
-    got = layers.conv2d_backward(cache, dy)
-    want = reference_conv_backward(x, p.weights, dy)
-    assert all(_same_bits(g, r) for g, r in zip(got, want))
+    want_y = nine_shift_corr3x3(x, p.weights) + p.bias[None, :, None, None]
+    if C == 1:      # one-channel unfold
+        assert _rel_err(y, want_y) <= REL_TOL
+    else:
+        assert _same_bits(y, want_y)
+    dx, dw, db = layers.conv2d_backward(cache, dy)
+    want_dx, want_dw, want_db = reference_conv_backward(x, p.weights, dy)
+    assert _same_bits(dx, want_dx) and _same_bits(db, want_db)
+    assert _rel_err(dw, want_dw) <= REL_TOL
 
 
 @pytest.mark.parametrize("shape", BITWISE_SHAPES)
@@ -299,13 +317,63 @@ def test_batchnorm_bitwise_equals_reference(shape):
     rm, rv = p.bn_running_mean, p.bn_running_var
     want_y, mean, var = reference_batchnorm_train(x, p.bn_gamma, p.bn_beta, layers.BN_EPS)
     y, cache = layers.batchnorm(x, p, "train")
-    assert _same_bits(y, want_y)
+    assert _rel_err(y, want_y) <= REL_TOL
     mom = p.bn_momentum
     assert _same_bits(p.bn_running_mean, (1.0 - mom) * rm + mom * mean)
-    assert _same_bits(p.bn_running_var, (1.0 - mom) * rv + mom * var)
+    assert _rel_err(p.bn_running_var, (1.0 - mom) * rv + mom * var) <= REL_TOL
     got = layers.batchnorm_backward(cache, dy)
     want = reference_batchnorm_backward(x, p.bn_gamma, layers.BN_EPS, dy)
-    assert all(_same_bits(g, r) for g, r in zip(got, want))
+    assert all(_rel_err(g, r) <= REL_TOL for g, r in zip(got, want))
+
+
+def reference_maxpool2(x):
+    """Reference pool: argmax over each flattened 2x2 window (first maximum,
+    or first NaN), with the gradient put back at that index."""
+    B, C, H, W = x.shape
+    win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        B, C, H // 2, W // 2, 4)
+    idx = win.argmax(axis=-1)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def backward(dy):
+        dwin = np.zeros((B, C, H // 2, W // 2, 4))
+        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+        return dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+            B, C, H, W)
+    return y, backward
+
+
+def _relu_like(shape, seed):
+    return np.maximum(Rng(seed).normal(shape), 0.0)     # +0.0 only, as ReLU emits
+
+
+def _integer_ties(shape, seed):
+    return Rng(seed).integers(0, 3, shape).astype(np.float64)
+
+
+def _nan_windows(shape, seed):
+    # Windows with one NaN, with two or more NaNs, and a NaN beside a tied
+    # maximum; the rest are integer ties.
+    x = _integer_ties(shape, seed)
+    mask = Rng(seed).child(1).uniform(shape) < 0.3
+    x[mask] = np.nan
+    return x
+
+
+# The study's two pools (batch 8, 9 and 18 channels) and small odd batches.
+POOL_CASES = [(_relu_like, (8, 9, 64, 64)), (_relu_like, (8, 18, 32, 32)),
+              (_integer_ties, (3, 2, 6, 8)), (_integer_ties, (8, 9, 64, 64)),
+              (_nan_windows, (2, 3, 8, 6)), (_nan_windows, (8, 9, 64, 64))]
+
+
+@pytest.mark.parametrize("make,shape", POOL_CASES)
+def test_maxpool_bitwise_equals_argmax_reference(make, shape):
+    x = make(shape, 55)
+    dy = Rng(56).normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+    want_y, want_backward = reference_maxpool2(x)
+    y, cache = layers.maxpool2(x)
+    assert _same_bits(y, want_y)
+    assert _same_bits(layers.maxpool2_backward(cache, dy), want_backward(dy))
 
 
 def test_conv_backward_without_input_gradient():

@@ -152,7 +152,7 @@ def test_backward_releases_the_tape(monkeypatch):
 
     monkeypatch.setattr(layers, "conv2d_backward", counting)
     model.backward(m, tape, Rng(5).normal(p.shape, std=0.1))
-    # While the last entry replays, only its own cache (input, xhat, ivar,
+    # While the last entry replays, only its own cache (input, x - mean, ivar,
     # ReLU mask) and p are left.
     assert alive_at_input_unit == [5]
     del p

@@ -91,6 +91,23 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(params, {"w": np.array([np.nan])}, state, fast_cfg())
 
 
+def test_adam_checks_every_gradient_before_any_update():
+    # A NaN in the later parameter's gradient must leave the earlier one, its
+    # moments and the step count bitwise as two clean steps left them.
+    cfg = fast_cfg(learning_rate=0.05)
+    params = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
+    state = AdamState.fresh(params)
+    for g in (0.3, -0.2):
+        adam_step(params, {"a": np.full(2, g), "b": np.array([g])}, state, cfg)
+    kept = [arr.copy() for arr in (params["a"], state.m["a"], state.v["a"],
+                                   params["b"], state.m["b"], state.v["b"])]
+    with pytest.raises(NumericError, match="'b' at step 2$"):
+        adam_step(params, {"a": np.full(2, 0.1), "b": np.array([np.nan])}, state, cfg)
+    assert state.step == 2
+    after = (params["a"], state.m["a"], state.v["a"], params["b"], state.m["b"], state.v["b"])
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(after, kept))
+
+
 def test_adam_numbers_a_non_finite_step_as_curve_csv_does(tiny_world, tmp_path, monkeypatch):
     # curve.csv numbers steps from 0, and so does Adam's error: on a fresh
     # state it is step 0, and after two clean steps (rows 0 and 1) step 2.
