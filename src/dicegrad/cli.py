@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from collections import Counter
 
 from . import (checkpoint, config, gradcheck, model as model_mod, phantom,
-               svgplot, training, volume_io)
+               training, volume_io)
 from .errors import (ConfigError, DicegradError, FormatError, IoError,
                      NumericError, ValidationError)
 from .tensor_core import Rng
@@ -60,10 +59,7 @@ def _workers() -> int:
     return workers
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args)
-    if args.out is None:
-        raise ConfigError("gen-data requires --out DIR")
+def cmd_gen_data(args, cfg: dict) -> int:
     spec = config.phantom_spec(cfg)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -89,8 +85,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_gradcheck(args, cfg: dict) -> int:
     threshold = cfg["check.threshold"]
     e2e_threshold = cfg["check.end_to_end_threshold"]
     rows = gradcheck.run_layer_checks() + gradcheck.run_loss_checks()
@@ -114,10 +109,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    if args.data is None or args.out is None:
-        raise ConfigError("train requires --data DIR and --out DIR")
+def cmd_train(args, cfg: dict) -> int:
     model_cfg = config.model_config(cfg)
     train_cfg = config.train_config(cfg)
     train_ds, holdout = training.load_split(args.data, train_cfg.holdout_cases,
@@ -140,23 +132,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _mean_std(values):
-    """(mean, std) of the values that are not None, or (None, None)."""
-    defined = [v for v in values if v is not None]
-    if not defined:
-        return None, None
-    return float(np.mean(defined)), float(np.std(defined))
-
-
-def _g17(value) -> str:
-    """Round-trip text for a float; an undefined value is an empty field."""
-    return "" if value is None else f"{value:.17g}"
-
-
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    if args.data is None or args.out is None:
-        raise ConfigError("eval requires --data DIR and --out DIR")
+def cmd_eval(args, cfg: dict) -> int:
     num_labels = cfg["model.num_labels"]
     m = None
     if not cfg["eval.oracle_self_test"]:
@@ -167,41 +143,40 @@ def cmd_eval(args) -> int:
 
     refs = volume_io.read_manifest(args.data)
     cases = ((ref.case_id, volume_io.load_case(args.data, ref)) for ref in refs)
-    rows = [(case_id, label, lm)
-            for case_id, report in training.evaluate_cases(cases, num_labels, m)
-            for label, lm in sorted(report.per_label.items())]
+    rows = list(training.evaluate_cases(cases, num_labels, m))
 
     _echo_config(cfg, args.out)
+    field = training.float_field
     metrics_lines = ["case_id,label,dsc,asd_mm,flags\n"]
     for case_id, label, lm in rows:
         flags = [f for f, empty in (("gt_empty", lm.gt_voxels == 0),
                                     ("pred_empty", lm.pred_voxels == 0)) if empty]
-        metrics_lines.append(f"{case_id},{label},{lm.dsc:.17g},{_g17(lm.asd_mm)},"
+        metrics_lines.append(f"{case_id},{label},{field(lm.dsc)},{field(lm.asd_mm)},"
                              f"{';'.join(flags)}\n")
     volume_io.write_file(os.path.join(args.out, "metrics.csv"), *metrics_lines)
+    labels = range(1, num_labels)
+    dsc = training.label_stats(((label, lm.dsc) for _, label, lm in rows), labels)
+    asd = training.label_stats(((label, lm.asd_mm) for _, label, lm in rows), labels)
+    absent = Counter(label for _, label, lm in rows
+                     if lm.gt_voxels == 0 or lm.pred_voxels == 0)
+    pred_empty = Counter(label for _, label, lm in rows if lm.pred_voxels == 0)
     summary_lines = ["label,cases,dsc_mean,dsc_std,asd_mean,asd_std,absent_cases,"
                      "pred_empty_cases\n"]
-    for label in range(1, num_labels):
-        sub = [lm for _, row_label, lm in rows if row_label == label]
-        dsc_mean, dsc_std = _mean_std([lm.dsc for lm in sub])
-        asd_mean, asd_std = _mean_std([lm.asd_mm for lm in sub])
-        absent = sum(1 for lm in sub if lm.gt_voxels == 0 or lm.pred_voxels == 0)
-        pred_empty = sum(1 for lm in sub if lm.pred_voxels == 0)
-        summary_lines.append(f"{label},{len(sub)},{_g17(dsc_mean)},{_g17(dsc_std)},"
-                             f"{_g17(asd_mean)},{_g17(asd_std)},{absent},{pred_empty}\n")
-        dm = float("nan") if dsc_mean is None else dsc_mean
-        am = float("nan") if asd_mean is None else asd_mean
-        print(f"label {label}: DSC {100 * dm:6.1f} %   ASD {am:7.3f} mm   "
-              f"({len(sub)} cases, {absent} flagged, {pred_empty} predicted empty)")
+    for label in labels:
+        dsc_vals, dsc_mean, dsc_std = dsc[label]
+        _, asd_mean, asd_std = asd[label]
+        cases = len(dsc_vals)           # every row has a DSC
+        summary_lines.append(f"{label},{cases},{field(dsc_mean)},{field(dsc_std)},"
+                             f"{field(asd_mean)},{field(asd_std)},{absent[label]},"
+                             f"{pred_empty[label]}\n")
+        print(f"label {label}: DSC {100 * dsc_mean:6.1f} %   ASD {asd_mean:7.3f} mm   "
+              f"({cases} cases, {absent[label]} flagged, {pred_empty[label]} predicted empty)")
     volume_io.write_file(os.path.join(args.out, "summary.csv"), *summary_lines)
     print(f"wrote metrics for {len(refs)} cases to {args.out}")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    if args.data is None or args.out is None:
-        raise ConfigError("compare requires --data DIR and --out DIR")
+def cmd_compare(args, cfg: dict) -> int:
     workers = _workers()
     model_cfg = config.model_config(cfg)
     base_cfg = config.train_config(cfg)
@@ -210,22 +185,8 @@ def cmd_compare(args) -> int:
     report = training.run_loss_comparison(args.data, model_cfg, base_cfg,
                                           cmp_cfg, args.out,
                                           max_workers=workers)
-    training.write_comparison_csv(os.path.join(args.out, "compare_results.csv"),
-                                  report.results)
-    volume_io.write_file(os.path.join(args.out, "verdicts.txt"),
-                         *(line + "\n" for line in report.verdicts))
-    for label in range(1, model_cfg.num_labels):
-        groups = {}
-        for kind in cmp_cfg.losses:
-            vals = [r.dsc for r in report.results
-                    if r.loss_kind == kind and r.label == label]
-            if vals:
-                groups[kind] = vals
-        if groups:
-            svgplot.box_plot(
-                os.path.join(args.out, f"dsc_label{label}.svg"), groups,
-                title=f"Test Dice, label {label}", y_label="DSC")
-    for line in report.verdicts:
+    for line in training.write_compare_reports(args.out, report.results, cmp_cfg,
+                                               model_cfg.num_labels):
         print(line)
     for kind, seed, why in report.failed_cells:
         print(f"warning: cell ({kind}, seed {seed}) failed: {why}", file=sys.stderr)
@@ -240,14 +201,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="From-scratch differentiable segmentation workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> (handler, help, the directory options the command requires)
     specs = {
-        "gen-data": (cmd_gen_data, "generate a synthetic phantom dataset"),
-        "gradcheck": (cmd_gradcheck, "finite-difference checks for layers and losses"),
-        "train": (cmd_train, "train a segmentation model"),
-        "eval": (cmd_eval, "evaluate a checkpoint (or ground truth) on a dataset"),
-        "compare": (cmd_compare, "train and compare the four losses"),
+        "gen-data": (cmd_gen_data, "generate a synthetic phantom dataset", ("out",)),
+        "gradcheck": (cmd_gradcheck, "finite-difference checks for layers and losses", ()),
+        "train": (cmd_train, "train a segmentation model", ("data", "out")),
+        "eval": (cmd_eval, "evaluate a checkpoint (or ground truth) on a dataset",
+                 ("data", "out")),
+        "compare": (cmd_compare, "train and compare the four losses", ("data", "out")),
     }
-    for name, (fn, help_text) in specs.items():
+    for name, (fn, help_text, dirs) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -258,14 +221,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--resume", help="checkpoint to resume from")
         if name == "eval":
             p.add_argument("--checkpoint", help="checkpoint to evaluate")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, dirs=dirs)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load_cfg(args)
+        if any(getattr(args, d) is None for d in args.dirs):
+            raise ConfigError(f"{args.command} requires "
+                              + " and ".join(f"--{d} DIR" for d in args.dirs))
+        return args.fn(args, cfg)
     except (FormatError, OSError) as exc:       # IoError is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -53,6 +53,9 @@ class SamplerConfig:
             value = getattr(self, name)
             if not value >= 0:          # NaN too: it would act as 0
                 raise ValidationError(f"{name} must be >= 0, got {value}")
+        if self.max_translation_px >= self.patch_size:
+            raise ValidationError(f"max_translation_px must be < patch_size "
+                                  f"{self.patch_size}, got {self.max_translation_px}")
 
 
 @dataclass

@@ -7,15 +7,19 @@ moments travel inside checkpoints.  Resuming from a checkpoint at step k
 therefore continues the exact arithmetic of the uninterrupted run.
 
 The comparison driver trains one model per (loss kind, seed) cell on a
-shared dataset, evaluates every cell on the same held-out cases, and
-reduces the per-case Dice scores to the qualitative verdict of interest:
-whether batch-pooled soft Dice beats cross-entropy and per-image soft
-Dice on the smallest structures.
+shared dataset and evaluates every cell on the same held-out cases.
+Evaluation yields one stream of (case, label, metrics) rows, `label_stats`
+is the one per-label reduction of such rows, and `write_compare_reports`
+turns the study's rows into its CSV, box plots and the qualitative verdict
+of interest: whether batch-pooled soft Dice beats cross-entropy and
+per-image soft Dice on the smallest structures.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import functools
 import json
 import os
 import time
@@ -67,8 +71,9 @@ class RunRecord:
 
 
 def evaluate_cases(cases, num_labels: int, m: model_mod.SegModel | None = None):
-    """Score each (case_id, LabeledVolume) of `cases`, yielding
-    (case_id, MetricsReport) in order.
+    """Score each (case_id, LabeledVolume) of `cases`, yielding one
+    (case_id, label, LabelMetrics) row per foreground label, in case order
+    and then label order.
 
     The model segments each volume; with `m` None the ground truth is
     scored against itself (the oracle self-test).  `cases` may be any
@@ -84,16 +89,30 @@ def evaluate_cases(cases, num_labels: int, m: model_mod.SegModel | None = None):
             pred = vol.labels.copy()
         else:
             pred = model_mod.segment_volume(m, vol.intensities)
-        yield case_id, metrics.evaluate_case(pred, vol, num_labels=num_labels)
+        report = metrics.evaluate_case(pred, vol, num_labels=num_labels)
+        for label, lm in sorted(report.per_label.items()):
+            yield case_id, label, lm
 
 
-def _mean_dsc_by_label(m: model_mod.SegModel,
-                       holdout: list[tuple[str, volume_io.LabeledVolume]]):
-    sums: dict[int, list[float]] = {}
-    for _, report in evaluate_cases(holdout, m.cfg.num_labels, m):
-        for label, lm in report.per_label.items():
-            sums.setdefault(label, []).append(lm.dsc)
-    return {label: float(np.mean(vals)) for label, vals in sorted(sums.items())}
+def label_stats(pairs, labels) -> dict[int, tuple[list, float, float]]:
+    """Group (label, value) pairs by label and reduce each group:
+    {label: (values, mean, std)} for each of `labels`, in that order, with
+    the values in pair order.  A None value (an undefined ASD) and a pair
+    whose label is not in `labels` are left out; a label left without
+    values has NaN mean and std."""
+    groups: dict[int, list] = {label: [] for label in labels}
+    for label, value in pairs:
+        if value is not None and label in groups:
+            groups[label].append(value)
+    return {label: (vals, float(np.mean(vals)), float(np.std(vals))) if vals
+            else (vals, float("nan"), float("nan"))
+            for label, vals in groups.items()}
+
+
+def float_field(value) -> str:
+    """Round-trip text for a float; an undefined value (None or NaN) is an
+    empty field."""
+    return "" if value is None or np.isnan(value) else f"{value:.17g}"
 
 
 def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
@@ -132,7 +151,10 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
             checkpoint.save_checkpoint(
                 m, state, os.path.join(out_dir, f"ckpt_{done:06d}.dgrd"))
         if holdout and cfg.eval_every and done % cfg.eval_every == 0:
-            record.evals.append((done, _mean_dsc_by_label(m, holdout)))
+            stats = label_stats(((label, lm.dsc) for _, label, lm
+                                 in evaluate_cases(holdout, m.cfg.num_labels, m)),
+                                range(1, m.cfg.num_labels))
+            record.evals.append((done, {label: mean for label, (_, mean, _) in stats.items()}))
 
     record.wall_clock = time.monotonic() - started
     if out_dir is not None:
@@ -185,7 +207,6 @@ class CaseResult:
 class CompareReport:
     results: list[CaseResult]
     failed_cells: list[tuple[str, int, str]]
-    verdicts: list[str]
 
 
 def load_split(data_dir, holdout_cases: int, num_labels: int):
@@ -208,26 +229,15 @@ def _run_cell(data_dir, model_cfg: model_mod.ModelConfig, cell_cfg: TrainConfig,
                                    model_cfg.num_labels)
     m = model_mod.build_model(model_cfg, Rng(cell_cfg.seed).child(1))
     m, _ = train(m, train_ds, cell_cfg, out_dir=cell_dir, holdout=holdout)
-    rows = []
-    for case_id, report in evaluate_cases(holdout, model_cfg.num_labels, m):
-        for label, lm in sorted(report.per_label.items()):
-            rows.append(CaseResult(cell_cfg.loss.kind, cell_cfg.seed, case_id,
-                                   label, lm.dsc, lm.asd_mm))
-    return rows
-
-
-def _mean_dsc(results, loss_kind: str, label: int, seed: int | None = None):
-    vals = [r.dsc for r in results
-            if r.loss_kind == loss_kind and r.label == label
-            and (seed is None or r.seed == seed)]
-    return float(np.mean(vals)) if vals else float("nan")
+    return [CaseResult(cell_cfg.loss.kind, cell_cfg.seed, case_id, label, lm.dsc, lm.asd_mm)
+            for case_id, label, lm in evaluate_cases(holdout, model_cfg.num_labels, m)]
 
 
 def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         base_cfg: TrainConfig, cmp_cfg: CompareConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
-    """Train every (loss, seed) cell, evaluate on the shared holdout, and
-    summarize whether batch-pooled Dice wins on the small structures."""
+    """Train every (loss, seed) cell and evaluate it on the shared holdout;
+    `write_compare_reports` turns the rows into the study's reports."""
     # Checked before any cell trains: a repeat would train one cell but count
     # it twice, and a label outside the foreground has no DSC to average.
     for key in ("losses", "seeds", "small_labels"):
@@ -239,31 +249,29 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
             raise ValidationError(f"compare.small_labels entry {label} is outside the "
                                   f"foreground labels [1, {model_cfg.num_labels})")
     os.makedirs(out_dir, exist_ok=True)
-    cells = [(kind, seed) for kind in cmp_cfg.losses for seed in cmp_cfg.seeds]
     jobs = {}
-    for kind, seed in cells:
-        cell_cfg = replace(base_cfg, seed=seed, loss=replace(base_cfg.loss, kind=kind))
-        cell_dir = os.path.join(out_dir, f"{kind}_s{seed}")
-        jobs[(kind, seed)] = (data_dir, model_cfg, cell_cfg, cell_dir)
+    for kind in cmp_cfg.losses:
+        for seed in cmp_cfg.seeds:
+            cell_cfg = replace(base_cfg, seed=seed, loss=replace(base_cfg.loss, kind=kind))
+            jobs[(kind, seed)] = (data_dir, model_cfg, cell_cfg,
+                                  os.path.join(out_dir, f"{kind}_s{seed}"))
 
     results: list[CaseResult] = []
     failed: list[tuple[str, int, str]] = []
-    if max_workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {key: pool.submit(_run_cell, *args) for key, args in jobs.items()}
-            for (kind, seed), fut in futures.items():
-                try:
-                    results.extend(fut.result())
-                except Exception as exc:       # a failed cell must not sink the rest
-                    failed.append((kind, seed, f"{type(exc).__name__}: {exc}"))
-    else:
-        for (kind, seed), args in jobs.items():
+    with contextlib.ExitStack() as stack:
+        if max_workers > 1:     # every cell is submitted before the first is collected
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=max_workers))
+            cells = {key: pool.submit(_run_cell, *args).result for key, args in jobs.items()}
+        else:                   # each cell runs here, when it is collected
+            cells = {key: functools.partial(_run_cell, *args) for key, args in jobs.items()}
+        for (kind, seed), run_cell in cells.items():
             try:
-                results.extend(_run_cell(*args))
-            except Exception as exc:
+                results.extend(run_cell())
+            except Exception as exc:       # a failed cell must not sink the rest
                 failed.append((kind, seed, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: (r.loss_kind, r.seed, r.case_id, r.label))
-    return CompareReport(results, failed, compare_verdicts(results, cmp_cfg))
+    return CompareReport(results, failed)
 
 
 def compare_verdicts(results: list[CaseResult], cmp_cfg: CompareConfig) -> list[str]:
@@ -271,15 +279,16 @@ def compare_verdicts(results: list[CaseResult], cmp_cfg: CompareConfig) -> list[
     cross-entropy on mean DSC, the three mean DSCs, and whether bsd's mean
     exceeds sd's.  A function of the rows alone, so the committed
     verdicts can be rebuilt from the committed CSV."""
+    def mean_dsc(kind, label, seed=None):
+        rows = (r for r in results
+                if r.loss_kind == kind and (seed is None or r.seed == seed))
+        return label_stats(((r.label, r.dsc) for r in rows), (label,))[label][1]
+
     verdicts = []
     for label in cmp_cfg.small_labels:
-        n_win = sum(
-            1 for seed in cmp_cfg.seeds
-            if _mean_dsc(results, "bsd", label, seed) > _mean_dsc(results, "ce", label, seed)
-        )
-        bsd_mean = _mean_dsc(results, "bsd", label)
-        sd_mean = _mean_dsc(results, "sd", label)
-        ce_mean = _mean_dsc(results, "ce", label)
+        n_win = sum(1 for seed in cmp_cfg.seeds
+                    if mean_dsc("bsd", label, seed) > mean_dsc("ce", label, seed))
+        bsd_mean, sd_mean, ce_mean = (mean_dsc(kind, label) for kind in ("bsd", "sd", "ce"))
         verdicts.append(
             f"label {label}: bsd>ce in {n_win}/{len(cmp_cfg.seeds)} seeds "
             f"(mean dsc bsd {bsd_mean:.3f}, sd {sd_mean:.3f}, ce {ce_mean:.3f}); "
@@ -288,9 +297,25 @@ def compare_verdicts(results: list[CaseResult], cmp_cfg: CompareConfig) -> list[
     return verdicts
 
 
-def write_comparison_csv(path, results: list[CaseResult]) -> None:
-    lines = ["loss,seed,case_id,label,dsc,asd_mm\n"]
-    for r in results:
-        asd = "" if r.asd_mm is None else f"{r.asd_mm:.17g}"
-        lines.append(f"{r.loss_kind},{r.seed},{r.case_id},{r.label},{r.dsc:.17g},{asd}\n")
-    volume_io.write_file(path, *lines)
+def write_compare_reports(out_dir, results: list[CaseResult], cmp_cfg: CompareConfig,
+                          num_labels: int) -> list[str]:
+    """Write the study's reports from its rows: `compare_results.csv`,
+    `verdicts.txt`, and a `dsc_label<l>.svg` box plot of the per-case DSC
+    by loss for each foreground label with rows.  Returns the verdicts."""
+    from . import svgplot       # loads xml.etree, which no training run needs
+    volume_io.write_file(
+        os.path.join(out_dir, "compare_results.csv"), "loss,seed,case_id,label,dsc,asd_mm\n",
+        *(f"{r.loss_kind},{r.seed},{r.case_id},{r.label},{float_field(r.dsc)},"
+          f"{float_field(r.asd_mm)}\n" for r in results))
+    verdicts = compare_verdicts(results, cmp_cfg)
+    volume_io.write_file(os.path.join(out_dir, "verdicts.txt"),
+                         *(line + "\n" for line in verdicts))
+    labels = range(1, num_labels)
+    by_kind = {kind: label_stats(((r.label, r.dsc) for r in results if r.loss_kind == kind),
+                                 labels) for kind in cmp_cfg.losses}
+    for label in labels:
+        groups = {kind: stats[label][0] for kind, stats in by_kind.items() if stats[label][0]}
+        if groups:
+            svgplot.box_plot(os.path.join(out_dir, f"dsc_label{label}.svg"), groups,
+                             title=f"Test Dice, label {label}", y_label="DSC")
+    return verdicts

@@ -355,19 +355,24 @@ def test_criterion_5_loss_comparison(capsys):
            f"< {BUDGET_CORE_SECONDS // 60}")
 
 
-def test_committed_verdicts_rebuild_from_committed_rows():
-    # verdicts.txt is a function of compare_results.csv and the study's
-    # compare settings; a verdict rule changed without re-running the study
-    # would leave the committed file stale.
+def test_committed_verdicts_rebuild_from_committed_rows(tmp_path):
+    # compare_results.csv, verdicts.txt and the dsc_label<l>.svg box plots are
+    # a function of the rows in compare_results.csv and the study's settings;
+    # a report changed without re-running the study would leave the committed
+    # files stale.
     with open(RESULTS_DIR / "compare_results.csv", newline="") as fh:
         rows = [training.CaseResult(r["loss"], int(r["seed"]), r["case_id"], int(r["label"]),
                                     float(r["dsc"]),
                                     float(r["asd_mm"]) if r["asd_mm"] else None)
                 for r in csv.DictReader(fh)]
     cfg = config.resolve((RESULTS_DIR / "effective_config.cfg").read_text())
-    lines = training.compare_verdicts(rows, config.compare_config(cfg))
-    want = (RESULTS_DIR / "verdicts.txt").read_bytes()
-    assert "".join(line + "\n" for line in lines).encode() == want
+    training.write_compare_reports(tmp_path, rows, config.compare_config(cfg),
+                                   cfg["model.num_labels"])
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["compare_results.csv"] + [f"dsc_label{label}.svg"
+                                               for label in range(1, 7)] + ["verdicts.txt"]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (RESULTS_DIR / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

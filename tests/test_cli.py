@@ -153,7 +153,8 @@ def test_train_bad_adam_eps_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["sampler.max_translation_px=-3",
-                                     "sampler.elastic_alpha=-4"])
+                                     "sampler.elastic_alpha=-4",
+                                     "sampler.max_translation_px=40"])
 def test_train_negative_sampler_value_is_config_error(tmp_path, setting):
     # the config is validated before the (missing) dataset is read
     rc = cli.main(["train", "--data", str(tmp_path / "nope"),

@@ -134,6 +134,9 @@ def test_sampler_config_validation():
             SamplerConfig(**{name: -1})
     with pytest.raises(ValidationError, match="elastic_alpha"):
         SamplerConfig(elastic_alpha=float("nan"))
+    SamplerConfig(patch_size=16, max_translation_px=15)
+    with pytest.raises(ValidationError, match="max_translation_px must be < patch_size"):
+        SamplerConfig(patch_size=16, max_translation_px=16)
 
 
 # ---------------------------------------------------------------------------

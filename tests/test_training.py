@@ -285,24 +285,47 @@ def synthetic_results():
     return rows
 
 
-def test_mean_dsc_filters():
+def test_label_stats_filters():
     rows = synthetic_results()
-    assert training._mean_dsc(rows, "bsd", 3, seed=0) == 0.70
-    assert abs(training._mean_dsc(rows, "bsd", 3) - 0.5) < 1e-12
-    assert math.isnan(training._mean_dsc(rows, "wce", 3))
+
+    def dsc_pairs(kind, seed=None):
+        return [(r.label, r.dsc) for r in rows
+                if r.loss_kind == kind and (seed is None or r.seed == seed)]
+
+    assert training.label_stats(dsc_pairs("bsd", seed=0), (3,)) == {3: ([0.70], 0.70, 0.0)}
+    vals, mean, _ = training.label_stats(dsc_pairs("bsd"), (3,))[3]
+    assert vals == [0.70, 0.60, 0.20] and abs(mean - 0.5) < 1e-12
+    vals, mean, std = training.label_stats(dsc_pairs("wce"), (3,))[3]
+    assert vals == [] and math.isnan(mean) and math.isnan(std)
+    # None values and labels outside `labels` are left out; `labels` sets the order
+    stats = training.label_stats([(4, 1.0), (3, None), (9, 5.0), (4, 3.0)], (4, 3))
+    assert list(stats) == [4, 3]
+    assert stats[4] == ([1.0, 3.0], 2.0, 1.0)
+    assert stats[3][0] == [] and math.isnan(stats[3][1])
 
 
 def test_comparison_csv_roundtrip(tmp_path):
     rows = synthetic_results()
-    path = tmp_path / "compare_results.csv"
-    training.write_comparison_csv(path, rows)
-    lines = path.read_text().splitlines()
+    cmp_cfg = training.CompareConfig(losses=("ce", "sd", "bsd"), seeds=(0, 1, 2),
+                                     small_labels=(3, 4))
+    verdicts = training.write_compare_reports(tmp_path, rows, cmp_cfg, num_labels=7)
+    lines = (tmp_path / "compare_results.csv").read_text().splitlines()
     assert lines[0] == "loss,seed,case_id,label,dsc,asd_mm"
     assert len(lines) == len(rows) + 1
     kind, seed, case_id, label, dsc, asd = lines[1].split(",")
     assert (kind, int(seed), case_id, int(label)) == ("bsd", 0, "case_000", 3)
     assert float(dsc) == 0.70
     assert asd == ""                      # None serializes as empty
+    assert verdicts == [
+        "label 3: bsd>ce in 2/3 seeds (mean dsc bsd 0.500, sd 0.350, ce 0.300); "
+        "bsd mean > sd mean: yes",
+        "label 4: bsd>ce in 0/3 seeds (mean dsc bsd 0.100, sd 0.200, ce 0.500); "
+        "bsd mean > sd mean: no",
+    ]
+    assert (tmp_path / "verdicts.txt").read_text() == "".join(v + "\n" for v in verdicts)
+    # one box plot per label that has rows
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == ["dsc_label3.svg",
+                                                              "dsc_label4.svg"]
 
 
 def _dataset_dir(tmp_path):
@@ -341,8 +364,8 @@ def test_run_loss_comparison_sequential_and_parallel(tmp_path):
     assert len(seq.results) == 2 * 1 * 6
     assert (tmp_path / "seq" / "ce_s0" / "final.dgrd").exists()
     assert (tmp_path / "seq" / "bsd_s0" / "final.dgrd").exists()
-    assert len(seq.verdicts) == 2
-    assert [v.split(":")[0] for v in seq.verdicts] == ["label 3", "label 4"]
+    verdicts = training.compare_verdicts(seq.results, cmp_cfg)
+    assert [v.split(":")[0] for v in verdicts] == ["label 3", "label 4"]
 
     par = training.run_loss_comparison(data_dir, model_cfg, base, cmp_cfg,
                                        tmp_path / "par", max_workers=2)
