@@ -135,7 +135,11 @@ def cmd_train(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     num_labels = cfg["model.num_labels"]
     m = None
-    if not cfg["eval.oracle_self_test"]:
+    if cfg["eval.oracle_self_test"]:
+        if args.checkpoint is not None:
+            raise ConfigError("eval.oracle_self_test=true evaluates the ground truth "
+                              "against itself and takes no --checkpoint")
+    else:
         if args.checkpoint is None:
             raise ConfigError("eval requires --checkpoint (or eval.oracle_self_test=true)")
         m, _ = checkpoint.load_checkpoint(args.checkpoint)

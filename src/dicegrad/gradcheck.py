@@ -82,8 +82,7 @@ def check_batchnorm() -> dict:
 
     def fwd(xv, g, bt):
         return layers.batchnorm(xv, layers.LayerParams(
-            bn_gamma=g, bn_beta=bt, bn_running_mean=np.zeros(3), bn_running_var=np.ones(3)),
-            "train")
+            bn_gamma=g, bn_beta=bt, bn_running_mean=np.zeros(3), bn_running_var=np.ones(3)))
 
     return _check_layer(fwd, layers.batchnorm_backward,
                         {"input": x, "gamma": gamma, "beta": beta}, w_out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError, StateError
+from .errors import SizeError
 
 # 3x3 kernels with zero padding of 1 keep the spatial size, which the
 # concatenation skip connections rely on.
@@ -183,38 +183,43 @@ def conv2d_backward(cache, dy: np.ndarray, need_dx: bool = True):
 # Batch normalization
 # ---------------------------------------------------------------------------
 
-def batchnorm(x: np.ndarray, p: LayerParams, mode: str):
-    """Per-channel batch normalization over the (batch, height, width) axes.
+def batchnorm(x: np.ndarray, p: LayerParams):
+    """Train-mode per-channel batch normalization over the (batch, height,
+    width) axes.
 
-    Train mode normalizes with the biased batch statistics, scales by gamma
-    and shifts by beta, and folds the batch statistics into the running
-    averages: running <- (1 - momentum)*running + momentum*batch.  It applies
+    Normalizes with the biased batch statistics, scales by gamma and shifts
+    by beta, and folds the batch statistics into the running averages:
+    running <- (1 - momentum)*running + momentum*batch.  It applies
     gamma*ivar as one per-channel scale to the centred input xc = x - mean,
-    which is what the cache keeps.  Eval mode normalizes with the stored
-    running statistics (initialized to mean 0, var 1, so eval before any
-    update is well defined).
+    which is what the cache keeps.  Inference uses `fold_batchnorm` instead.
     """
-    if mode == "train":
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        if m < 2:
-            raise SizeError(f"batch-norm needs >= 2 values per channel, got {m}")
-        mean = x.mean(axis=(0, 2, 3))
-        xc = x - mean[None, :, None, None]
-        var = np.einsum("bchw,bchw->c", xc, xc) / m
-        ivar = 1.0 / np.sqrt(var + BN_EPS)
-        y = xc * (p.bn_gamma * ivar)[None, :, None, None]
-        y += p.bn_beta[None, :, None, None]
-        p.bn_running_mean = (1.0 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
-        p.bn_running_var = (1.0 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * var
-        return y, (xc, ivar, p.bn_gamma, m)
-    if mode == "eval":
-        ivar = 1.0 / np.sqrt(p.bn_running_var + BN_EPS)
-        y = x - p.bn_running_mean[None, :, None, None]
-        y *= ivar[None, :, None, None]
-        y *= p.bn_gamma[None, :, None, None]
-        y += p.bn_beta[None, :, None, None]
-        return y, None
-    raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if m < 2:
+        raise SizeError(f"batch-norm needs >= 2 values per channel, got {m}")
+    mean = x.mean(axis=(0, 2, 3))
+    xc = x - mean[None, :, None, None]
+    var = np.einsum("bchw,bchw->c", xc, xc) / m
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
+    y = xc * (p.bn_gamma * ivar)[None, :, None, None]
+    y += p.bn_beta[None, :, None, None]
+    p.bn_running_mean = (1.0 - p.bn_momentum) * p.bn_running_mean + p.bn_momentum * mean
+    p.bn_running_var = (1.0 - p.bn_momentum) * p.bn_running_var + p.bn_momentum * var
+    return y, (xc, ivar, p.bn_gamma, m)
+
+
+def fold_batchnorm(p: LayerParams) -> LayerParams:
+    """The conv of unit `p` followed by its inference batch norm, as one conv.
+
+    With the running statistics, batch norm is the per-channel affine map
+    y = s*(z - running_mean) + beta, s = gamma/sqrt(running_var + eps), of
+    the conv output z = W*x + b, so it equals the conv with weights W*s and
+    bias (b - running_mean)*s + beta.  Built afresh on every call, since
+    training and checkpoint loading change `p` in place; the result differs
+    from the unfolded evaluation by rounding only.
+    """
+    s = p.bn_gamma * (1.0 / np.sqrt(p.bn_running_var + BN_EPS))
+    return LayerParams(weights=p.weights * s[:, None, None, None],
+                       bias=(p.bias - p.bn_running_mean) * s + p.bn_beta)
 
 
 def batchnorm_backward(cache, dy: np.ndarray):
@@ -227,8 +232,6 @@ def batchnorm_backward(cache, dy: np.ndarray):
     k = gamma*ivar per channel it is applied as one scale of dy, one of xc
     and one shift: dx = k*dy - (k*ivar*dgamma/M)*xc - k*dbeta/M.
     """
-    if cache is None:
-        raise StateError("batchnorm_backward requires a train-mode cache")
     xc, ivar, gamma, m = cache
     dbeta = np.einsum("bchw->c", dy)
     dgamma = np.einsum("bchw,bchw->c", dy, xc) * ivar
@@ -243,14 +246,30 @@ def batchnorm_backward(cache, dy: np.ndarray):
 # ReLU
 # ---------------------------------------------------------------------------
 
+def _keep(mask: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The select `where(mask, a, 0.0)` bit for bit, written to `out` if
+    given: the float64 bits of `a` ANDed with all ones where `mask` holds
+    and with all zeros (+0.0) elsewhere; numpy's `where` is several times
+    slower on float64."""
+    bits = mask.astype(np.uint64)
+    np.negative(bits, out=bits)         # 1 -> all ones
+    if out is None:
+        out = bits.view(np.float64)
+    np.bitwise_and(a.view(np.uint64), bits, out=out.view(np.uint64))
+    return out
+
+
 def relu(x: np.ndarray):
-    """y = max(x, 0); the gradient at exactly 0 is defined as 0."""
+    """y = max(x, 0), with +0.0 for a NaN or a -0.0; the gradient at exactly
+    0 is defined as 0.  The cache is the mask x > 0."""
     mask = x > 0
-    return np.where(mask, x, 0.0), mask
+    y = np.fmax(x, 0.0)
+    y += 0.0        # fmax passes some -0.0 through, by position in the array
+    return y, mask
 
 
 def relu_backward(cache, dy: np.ndarray):
-    return np.where(cache, dy, 0.0)
+    return _keep(cache, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +280,15 @@ def relu_backward(cache, dy: np.ndarray):
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2(x: np.ndarray):
+def maxpool2(x: np.ndarray, need_index: bool = True):
     """2x2 max pooling with stride 2: the maximum of the four strided views
     x[:, :, u::2, v::2].
 
     Ties resolve to the first maximum in row-major window order, and a
     window holding a NaN to its first NaN, which is `argmax`'s rule.  The
     cache is that window index as uint8, so the backward routes without
-    holding `x`.
+    holding `x`.  With `need_index` false the cache is None and the index
+    is not built (inference has no backward).
     """
     H, W = x.shape[2:]
     if H % 2 or W % 2:
@@ -277,11 +297,15 @@ def maxpool2(x: np.ndarray):
     y = np.maximum(views[0], views[1])
     np.maximum(y, views[2], out=y)
     np.maximum(y, views[3], out=y)
-    idx = np.full(y.shape, 3, dtype=np.uint8)
-    for k in (2, 1, 0):         # the earliest hit is written last
-        hit = views[k] == y
-        hit |= views[k] != views[k]         # NaN
-        np.copyto(idx, k, where=hit)
+    if not need_index:
+        return y, None
+    # Position k misses (m_k = 1) when it is neither the maximum nor a NaN;
+    # the index of the first that does not is m0*(1 + m1*(1 + m2)), built
+    # from the inside out in uint8.
+    idx = np.zeros(y.shape, dtype=np.uint8)
+    for v in views[2::-1]:
+        idx += 1
+        idx *= (v != y) & (v == v)
     return y, idx
 
 
@@ -290,7 +314,7 @@ def maxpool2_backward(cache, dy: np.ndarray):
     B, C, h, w = idx.shape
     dx = np.empty((B, C, 2 * h, 2 * w))
     for k, (u, v) in enumerate(_WINDOW):
-        dx[:, :, u::2, v::2] = np.where(idx == k, dy, 0.0)
+        _keep(idx == k, dy, out=dx[:, :, u::2, v::2])
     return dx
 
 

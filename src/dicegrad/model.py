@@ -132,12 +132,17 @@ def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
     return m
 
 
-def _unit_forward(m: SegModel, name: str, x, mode: str, record):
+def _unit_forward(m: SegModel, name: str, x, train: bool, record):
     """One conv-BN-ReLU unit; its cache goes straight to `record` and only
-    the output is returned, so in eval mode nothing of the unit outlives it."""
+    the output is returned.  For inference the unit is one conv with the
+    batch norm folded in (`layers.fold_batchnorm`) and a ReLU applied in
+    place on the conv's own output, so nothing of the unit outlives it."""
     u = m.units[name]
+    if not train:
+        y, _ = layers.conv2d(x, layers.fold_batchnorm(u))
+        return np.fmax(y, 0.0, out=y)
     y, c_conv = layers.conv2d(x, u)
-    y, c_bn = layers.batchnorm(y, u, mode)
+    y, c_bn = layers.batchnorm(y, u)
     y, c_relu = layers.relu(y)
     record(("unit", name, (c_conv, c_bn, c_relu)))
     return y
@@ -160,37 +165,43 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
 
     Returns (probabilities [I, L, P, P], tape); the tape, the (kind, key,
     cache) entries in execution order, is None in eval mode and must be
-    handed unchanged to `backward` in train mode.  Eval mode records
-    nothing: each unit's cache is dropped as the unit returns, and each skip
-    and its concat are released once the decoder unit reading them has run,
-    so only the live activation and the pending skips stay alive.
+    handed unchanged to `backward` in train mode.  Eval mode is the
+    inference forward: each unit is its conv with the batch norm folded in
+    and an in-place ReLU, pooling builds no routing index, nothing is
+    recorded, and each skip and its concat are released once the decoder
+    unit reading them has run, so only the live activation and the pending
+    skips stay alive.  Its probabilities differ from an unfolded eval-mode
+    batch norm by rounding only.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = m.cfg
     p_sz = cfg.patch_size
     if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != (p_sz, p_sz):
         raise SizeError(
             f"expected input [I, {cfg.in_channels}, {p_sz}, {p_sz}], got {x.shape}"
         )
-    tape = [] if mode == "train" else None
-    record = (lambda entry: None) if tape is None else tape.append
+    train = mode == "train"
+    tape = [] if train else None
+    record = tape.append if train else (lambda entry: None)
     h = x
     skips = []
     for d in range(cfg.depth):
-        h = _unit_forward(m, f"enc{d}.u0", h, mode, record)
-        h = _unit_forward(m, f"enc{d}.u1", h, mode, record)
+        h = _unit_forward(m, f"enc{d}.u0", h, train, record)
+        h = _unit_forward(m, f"enc{d}.u1", h, train, record)
         skips.append(h)
-        h, c = layers.maxpool2(h)
+        h, c = layers.maxpool2(h, need_index=train)
         record(("pool", d, c))
-    h = _unit_forward(m, "mid.u0", h, mode, record)
-    h = _unit_forward(m, "mid.u1", h, mode, record)
+    h = _unit_forward(m, "mid.u0", h, train, record)
+    h = _unit_forward(m, "mid.u1", h, train, record)
     for d in reversed(range(cfg.depth)):
         h, c = layers.bilinear_up2(h)
         record(("up", d, (c, h.shape[1])))     # where the concat's gradient splits
         # The skip is popped and the concat rebound after u0: neither is alive
         # while u1 runs, unless the tape holds it.
         h = np.concatenate([h, skips.pop()], axis=1)
-        h = _unit_forward(m, f"dec{d}.u0", h, mode, record)
-        h = _unit_forward(m, f"dec{d}.u1", h, mode, record)
+        h = _unit_forward(m, f"dec{d}.u0", h, train, record)
+        h = _unit_forward(m, f"dec{d}.u1", h, train, record)
     scores, c_head = layers.conv2d(h, m.final)
     p, c_soft = layers.softmax(scores)
     record(("head", "head", (c_head, c_soft)))
@@ -253,8 +264,9 @@ def segment_volume(m: SegModel, intensities: np.ndarray) -> np.ndarray:
     never span slices, so the volume is streamed in groups of whole slices,
     as many as fill one batch of MAX_BATCH tiles (at least one slice): each
     group's probabilities are summed, averaged and turned into labels before
-    the next group starts.  Eval-mode batch norm keeps items separate, so
-    the grouping is only a memory and throughput detail.
+    the next group starts.  The inference forward keeps items separate
+    (its batch norm is folded into the conv), so the grouping is only a
+    memory and throughput detail.
     """
     cfg = m.cfg
     patch = cfg.patch_size

@@ -278,21 +278,34 @@ def compare_verdicts(results: list[CaseResult], cmp_cfg: CompareConfig) -> list[
     """One line per small label: in how many seeds batch-pooled Dice beats
     cross-entropy on mean DSC, the three mean DSCs, and whether bsd's mean
     exceeds sd's.  A function of the rows alone, so the committed
-    verdicts can be rebuilt from the committed CSV."""
+    verdicts can be rebuilt from the committed CSV.  A mean without rows
+    reads n/a, the bsd>ce count runs over the seeds with rows for both
+    losses and counts the seeds without, and the sd comparison reads n/a
+    when either mean does."""
     def mean_dsc(kind, label, seed=None):
         rows = (r for r in results
                 if r.loss_kind == kind and (seed is None or r.seed == seed))
-        return label_stats(((r.label, r.dsc) for r in rows), (label,))[label][1]
+        values, mean, _ = label_stats(((r.label, r.dsc) for r in rows), (label,))[label]
+        return mean if values else None
+
+    def text(mean):
+        return "n/a" if mean is None else f"{mean:.3f}"
 
     verdicts = []
     for label in cmp_cfg.small_labels:
-        n_win = sum(1 for seed in cmp_cfg.seeds
-                    if mean_dsc("bsd", label, seed) > mean_dsc("ce", label, seed))
+        pairs = [(mean_dsc("bsd", label, seed), mean_dsc("ce", label, seed))
+                 for seed in cmp_cfg.seeds]
+        pairs = [(b, c) for b, c in pairs if b is not None and c is not None]
+        n_win = sum(1 for b, c in pairs if b > c)
+        lacking = len(cmp_cfg.seeds) - len(pairs)
         bsd_mean, sd_mean, ce_mean = (mean_dsc(kind, label) for kind in ("bsd", "sd", "ce"))
+        vs_sd = ("n/a" if bsd_mean is None or sd_mean is None
+                 else "yes" if bsd_mean > sd_mean else "no")
         verdicts.append(
-            f"label {label}: bsd>ce in {n_win}/{len(cmp_cfg.seeds)} seeds "
-            f"(mean dsc bsd {bsd_mean:.3f}, sd {sd_mean:.3f}, ce {ce_mean:.3f}); "
-            f"bsd mean > sd mean: {'yes' if bsd_mean > sd_mean else 'no'}"
+            f"label {label}: bsd>ce in {n_win}/{len(pairs)} seeds"
+            + (f", {lacking} without bsd or ce rows" if lacking else "")
+            + f" (mean dsc bsd {text(bsd_mean)}, sd {text(sd_mean)}, ce {text(ce_mean)}); "
+            f"bsd mean > sd mean: {vs_sd}"
         )
     return verdicts
 

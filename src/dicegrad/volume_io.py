@@ -170,5 +170,9 @@ def read_manifest(dataset_dir) -> list[CaseRef]:
             fields = line.split(",")
             if len(fields) != 4:
                 raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(fields)}")
-            refs.append(CaseRef(fields[0], fields[1], fields[2], int(fields[3])))
+            try:
+                seed = int(fields[3])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: seed {fields[3]!r} is not an integer") from None
+            refs.append(CaseRef(fields[0], fields[1], fields[2], seed))
     return refs

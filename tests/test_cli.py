@@ -285,6 +285,17 @@ def test_eval_needs_checkpoint_or_self_test(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_eval_self_test_with_checkpoint_is_config_error(tmp_path, capsys):
+    # Refused before anything is read: neither the dataset nor the
+    # checkpoint exists, which would otherwise be an I/O error.
+    rc = cli.main(["eval", "--data", str(tmp_path / "no_data"), "--out", str(tmp_path / "e"),
+                   "--checkpoint", str(tmp_path / "no.dgrd"),
+                   "--set", "eval.oracle_self_test=true"])
+    assert rc == cli.EXIT_CONFIG
+    assert "takes no --checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

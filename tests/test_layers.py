@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dicegrad import gradcheck, layers
-from dicegrad.errors import SizeError, StateError
+from dicegrad.errors import SizeError
 from dicegrad.tensor_core import Rng
 
 
@@ -71,7 +71,7 @@ def test_batchnorm_train_normalizes():
     x = rng.normal((6, 3, 7, 7), mean=3.0, std=2.0)
     p = layers.LayerParams(bn_gamma=np.ones(3), bn_beta=np.zeros(3),
                            bn_running_mean=np.zeros(3), bn_running_var=np.ones(3))
-    y, _ = layers.batchnorm(x, p, "train")
+    y, _ = layers.batchnorm(x, p)
     assert np.allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     assert np.allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
@@ -84,24 +84,26 @@ def test_batchnorm_running_stats_update():
                            bn_momentum=0.1)
     batch_mean = x.mean(axis=(0, 2, 3))
     batch_var = x.var(axis=(0, 2, 3))
-    layers.batchnorm(x, p, "train")
+    layers.batchnorm(x, p)
     assert np.allclose(p.bn_running_mean, 0.1 * batch_mean, atol=1e-12)
     assert np.allclose(p.bn_running_var, 0.9 + 0.1 * batch_var, atol=1e-12)
 
 
 def test_batchnorm_eval_uses_running_stats():
+    # Inference batch norm is folded into the conv before it; behind an
+    # identity kernel and a zero bias the folded conv is the batch norm alone.
     rng = Rng(23)
     x = rng.normal((2, 2, 4, 4))
-    p = layers.LayerParams(bn_gamma=np.full(2, 2.0), bn_beta=np.full(2, 0.5),
+    w = np.zeros((2, 2, 3, 3))
+    w[0, 0, 1, 1] = w[1, 1, 1, 1] = 1.0
+    p = layers.LayerParams(weights=w, bias=np.zeros(2),
+                           bn_gamma=np.full(2, 2.0), bn_beta=np.full(2, 0.5),
                            bn_running_mean=np.array([1.0, -1.0]),
                            bn_running_var=np.array([4.0, 0.25]))
-    y, cache = layers.batchnorm(x, p, "eval")
+    y, _ = layers.conv2d(x, layers.fold_batchnorm(p))
     want = 2.0 * (x - p.bn_running_mean[None, :, None, None]) / np.sqrt(
         p.bn_running_var[None, :, None, None] + layers.BN_EPS) + 0.5
     assert np.allclose(y, want, atol=1e-12)
-    assert cache is None
-    with pytest.raises(StateError):
-        layers.batchnorm_backward(cache, np.zeros_like(x))
 
 
 def test_batchnorm_gradients():
@@ -267,7 +269,8 @@ def _same_bits(a, b):
 
 # Largest difference from the reference, relative to the reference's largest
 # magnitude: the one-channel unfold, the per-tap dW and the folded train-mode
-# batch norm sum the same products in another order.
+# batch norm sum the same products in another order, and the inference batch
+# norm folded into the conv rounds its scale and shift differently.
 REL_TOL = 1e-12
 
 
@@ -311,12 +314,9 @@ def test_batchnorm_bitwise_equals_reference(shape):
     p = layers.LayerParams(bn_gamma=rng.child(2).normal((C,)), bn_beta=rng.child(3).normal((C,)),
                            bn_running_mean=rng.child(4).normal((C,)),
                            bn_running_var=rng.child(5).uniform((C,), 0.5, 2.0))
-    want_eval = reference_batchnorm_eval(x, p)
-    y, _ = layers.batchnorm(x, p, "eval")
-    assert _same_bits(y, want_eval)
     rm, rv = p.bn_running_mean, p.bn_running_var
     want_y, mean, var = reference_batchnorm_train(x, p.bn_gamma, p.bn_beta, layers.BN_EPS)
-    y, cache = layers.batchnorm(x, p, "train")
+    y, cache = layers.batchnorm(x, p)
     assert _rel_err(y, want_y) <= REL_TOL
     mom = p.bn_momentum
     assert _same_bits(p.bn_running_mean, (1.0 - mom) * rm + mom * mean)
@@ -324,6 +324,20 @@ def test_batchnorm_bitwise_equals_reference(shape):
     got = layers.batchnorm_backward(cache, dy)
     want = reference_batchnorm_backward(x, p.bn_gamma, layers.BN_EPS, dy)
     assert all(_rel_err(g, r) <= REL_TOL for g, r in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", BITWISE_SHAPES)
+def test_folded_conv_matches_conv_then_eval_batchnorm(shape):
+    B, C, O, H, W = shape
+    rng = Rng(57)
+    x = rng.child(0).normal((B, C, H, W))
+    p = _conv_params(rng.child(1), C, O)
+    p.bn_gamma, p.bn_beta = rng.child(2).normal((O,)), rng.child(3).normal((O,))
+    p.bn_running_mean = rng.child(4).normal((O,))
+    p.bn_running_var = rng.child(5).uniform((O,), 0.5, 2.0)
+    z, _ = layers.conv2d(x, p)
+    y, _ = layers.conv2d(x, layers.fold_batchnorm(p))
+    assert _rel_err(y, reference_batchnorm_eval(z, p)) <= REL_TOL
 
 
 def reference_maxpool2(x):
@@ -376,6 +390,75 @@ def test_maxpool_bitwise_equals_argmax_reference(make, shape):
     assert _same_bits(layers.maxpool2_backward(cache, dy), want_backward(dy))
 
 
+# ---------------------------------------------------------------------------
+# ReLU, its backward and the pool index bit for bit against `np.where` and
+# masked `np.copyto` forms, on special values
+# ---------------------------------------------------------------------------
+
+SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.225073858507201e-308, -2.225073858507201e-308, 1.5, -1.5])
+
+
+def _specials(n, shift=0):
+    """n values cycling through SPECIALS; 17 is coprime to their count, so
+    each value sits at every position mod 16 within 16 * 12 values."""
+    i = np.arange(n) + shift
+    return SPECIALS[(i + i // 16) % len(SPECIALS)]
+
+
+# Every tail length a 16-wide vector loop can leave.
+SPECIAL_LENGTHS = range(16 * len(SPECIALS), 16 * len(SPECIALS) + 16)
+
+
+@pytest.mark.parametrize("n", SPECIAL_LENGTHS)
+def test_relu_bitwise_equals_where_on_special_values(n):
+    for x in (_specials(n), _specials(n + 1)[1:], _specials(2 * n, 5)[::2]):
+        y, mask = layers.relu(x)
+        assert _same_bits(y, np.where(x > 0, x, 0.0))
+        assert _same_bits(mask, x > 0)
+
+
+@pytest.mark.parametrize("n", SPECIAL_LENGTHS)
+def test_keep_bitwise_equals_where_on_special_values(n):
+    a = _specials(n)
+    mask = _specials(n, 7) > 0
+    want = np.where(mask, a, 0.0)
+    assert _same_bits(layers._keep(mask, a), want)
+    assert _same_bits(layers._keep(mask[::-1], a[::-1]), want[::-1])
+    base = np.full(2 * n + 1, 7.0)
+    layers._keep(mask, a, out=base[1::2])
+    assert _same_bits(base[1::2], want)
+    assert (base[::2] == 7.0).all()
+
+
+def copyto_pool_index(views, y):
+    """Reference pool index by three masked copies: 3, then each earlier hit
+    (a maximum or a NaN), the earliest written last."""
+    idx = np.full(y.shape, 3, dtype=np.uint8)
+    for k in (2, 1, 0):
+        hit = views[k] == y
+        hit |= views[k] != views[k]
+        np.copyto(idx, k, where=hit)
+    return idx
+
+
+@pytest.mark.parametrize("n", SPECIAL_LENGTHS)
+def test_maxpool_index_bitwise_equals_copyto_on_special_values(n):
+    # Rows of 2n values in windows of four: every special value at every
+    # window position and every position mod 16 of the n-wide output.
+    x = np.stack([_specials(4 * n, s).reshape(2, 2 * n) for s in (0, 3, 10)])[:, None]
+    y, idx = layers.maxpool2(x)
+    views = [x[:, :, u::2, v::2] for u, v in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert _same_bits(idx, copyto_pool_index(views, y))
+    y2, none = layers.maxpool2(x, need_index=False)
+    assert none is None and _same_bits(y2, y)
+    dy = _specials(y.size, 1).reshape(y.shape)
+    dx = layers.maxpool2_backward(idx, dy)
+    for k, v in enumerate(views):
+        assert _same_bits(np.ascontiguousarray(dx[:, :, k // 2::2, k % 2::2]),
+                          np.where(idx == k, dy, 0.0))
+
+
 def test_conv_backward_without_input_gradient():
     rng = Rng(53)
     x = rng.normal((2, 3, 6, 6))
@@ -407,10 +490,10 @@ def _arrays(obj):
 def test_layers_never_write_their_inputs():
     called = set()
 
-    def call(fn, *args):
+    def call(fn, *args, **kwargs):
         arrays = [a for arg in args for a in _arrays(arg)]
         before = [a.copy() for a in arrays]
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         for a, b in zip(arrays, before):
             assert _same_bits(a, b), fn.__name__
         called.add(fn.__name__)
@@ -425,9 +508,10 @@ def test_layers_never_write_their_inputs():
     _, cache = call(layers.conv2d, x, p)
     call(layers.conv2d_backward, cache, dy)
     call(layers.conv2d_backward, cache, dy, False)
-    call(layers.batchnorm, x, p, "eval")
-    _, cache = call(layers.batchnorm, x, p, "train")
+    call(layers.fold_batchnorm, p)
+    _, cache = call(layers.batchnorm, x, p)
     call(layers.batchnorm_backward, cache, dy)
+    call(layers.maxpool2, x, need_index=False)
     for op in (layers.relu, layers.maxpool2, layers.bilinear_up2, layers.softmax):
         y, cache = call(op, x)
         call(getattr(layers, f"{op.__name__}_backward"), cache, np.ones_like(y))

@@ -166,13 +166,14 @@ def test_eval_forward_keeps_no_cache(monkeypatch):
     # output) and concat (dec{d}.u0's input) are released as well.
     m = tiny(depth=2, patch=8)
     x = Rng(4).normal((2, 1, 8, 8))
-    names = {id(u): name for name, u in m.units.items()}
+    # Eval convs get folded params, so a conv is named by its call order.
+    names = m.unit_names() + ["head"]
     inner, inner_pool = layers.conv2d, layers.maxpool2
     inputs, alive_at_head = [], {}
     skips, concats, alive_at_dec_u1 = [], {}, {}
 
     def recording(xv, params):
-        name = names.get(id(params), "head")
+        name = names[len(inputs)]
         if name == "head":
             alive_at_head[mode] = sum(r() is not None for r in inputs)
         elif name.startswith("dec") and mode == "eval":
@@ -184,9 +185,9 @@ def test_eval_forward_keeps_no_cache(monkeypatch):
         inputs.append(weakref.ref(xv))
         return inner(xv, params)
 
-    def pooling(xv):
+    def pooling(xv, need_index=True):
         skips.append(weakref.ref(xv))
-        return inner_pool(xv)
+        return inner_pool(xv, need_index=need_index)
 
     monkeypatch.setattr(layers, "conv2d", recording)
     monkeypatch.setattr(layers, "maxpool2", pooling)
@@ -197,6 +198,60 @@ def test_eval_forward_keeps_no_cache(monkeypatch):
         assert len(inputs) == 11, mode
     assert alive_at_head == {"eval": 1, "train": 10}
     assert alive_at_dec_u1 == {0: (False, False), 1: (False, False)}
+
+
+def unfolded_eval_forward(m, x):
+    """Reference inference forward: each unit's conv, then batch norm with
+    the running statistics as its own step, ReLU and pooling as selects."""
+    def unit(name, h):
+        u = m.units[name]
+        z, _ = layers.conv2d(h, u)
+        ivar = 1.0 / np.sqrt(u.bn_running_var + layers.BN_EPS)
+        z = (z - u.bn_running_mean[None, :, None, None]) * ivar[None, :, None, None]
+        z = u.bn_gamma[None, :, None, None] * z + u.bn_beta[None, :, None, None]
+        return np.where(z > 0, z, 0.0)
+
+    h, skips = x, []
+    for d in range(m.cfg.depth):
+        h = unit(f"enc{d}.u1", unit(f"enc{d}.u0", h))
+        skips.append(h)
+        B, C, H, W = h.shape
+        h = h.reshape(B, C, H // 2, 2, W // 2, 2).max(axis=(3, 5))
+    h = unit("mid.u1", unit("mid.u0", h))
+    for d in reversed(range(m.cfg.depth)):
+        h = np.concatenate([layers.bilinear_up2(h)[0], skips.pop()], axis=1)
+        h = unit(f"dec{d}.u1", unit(f"dec{d}.u0", h))
+    return layers.softmax(layers.conv2d(h, m.final)[0])[0]
+
+
+def test_eval_forward_matches_unfolded_batchnorm():
+    # Trained-looking batch-norm parameters, so the fold is far from identity.
+    m = tiny(num_labels=4, depth=2, base=3, patch=16, seed=8)
+    rng = Rng(9)
+    for i, u in enumerate(m.units.values()):
+        c = u.bias.shape[0]
+        r = rng.child(i)
+        u.bias = r.child(0).normal((c,))
+        u.bn_gamma = r.child(1).normal((c,), mean=1.0, std=0.5)
+        u.bn_beta = r.child(2).normal((c,), std=0.5)
+        u.bn_running_mean = r.child(3).normal((c,))
+        u.bn_running_var = r.child(4).uniform((c,), 0.2, 3.0)
+    x = rng.child(99).normal((5, 1, 16, 16))
+    p, _ = model.forward(m, x, mode="eval")
+    want = unfolded_eval_forward(m, x)
+    assert np.max(np.abs(p - want)) <= 1e-12
+    labels = model.predict_labels(p)
+    assert np.array_equal(labels, model.predict_labels(want))
+    assert len(np.unique(labels)) == 4
+
+
+def test_forward_rejects_unknown_mode_before_any_layer(monkeypatch):
+    m = tiny()
+    calls = []
+    monkeypatch.setattr(layers, "conv2d", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="mode"):
+        model.forward(m, np.zeros((1, 1, 8, 8)), "test")
+    assert calls == []
 
 
 def test_backward_skips_only_the_input_gradient(monkeypatch):

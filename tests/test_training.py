@@ -328,6 +328,25 @@ def test_comparison_csv_roundtrip(tmp_path):
                                                               "dsc_label4.svg"]
 
 
+def test_compare_verdicts_for_losses_without_rows():
+    rows = synthetic_results()
+    cmp_cfg = training.CompareConfig(losses=("ce", "sd", "bsd"), seeds=(0, 1, 2),
+                                     small_labels=(3, 4))
+    # bsd lost its seed-1 cell; sd has no rows (a ce,bsd study); label 4 has
+    # no bsd rows at all.
+    kept = [r for r in rows if r.loss_kind != "sd"
+            and not (r.loss_kind == "bsd" and (r.seed == 1 or r.label == 4))]
+    assert training.compare_verdicts(kept, cmp_cfg) == [
+        "label 3: bsd>ce in 1/2 seeds, 1 without bsd or ce rows "
+        "(mean dsc bsd 0.450, sd n/a, ce 0.300); bsd mean > sd mean: n/a",
+        "label 4: bsd>ce in 0/0 seeds, 3 without bsd or ce rows "
+        "(mean dsc bsd n/a, sd n/a, ce 0.500); bsd mean > sd mean: n/a",
+    ]
+    assert training.compare_verdicts([], cmp_cfg)[0] == (
+        "label 3: bsd>ce in 0/0 seeds, 3 without bsd or ce rows "
+        "(mean dsc bsd n/a, sd n/a, ce n/a); bsd mean > sd mean: n/a")
+
+
 def _dataset_dir(tmp_path):
     from dicegrad import volume_io
 

@@ -143,6 +143,10 @@ def test_read_manifest_errors(tmp_path):
     (tmp_path / "manifest.csv").write_text("a,b,c\n")
     with pytest.raises(FormatError, match="expected 4 fields"):
         read_manifest(tmp_path)
+    (tmp_path / "manifest.csv").write_text("c0,c0_image.dvol,c0_label.dvol,3\n"
+                                           "c1,c1_image.dvol,c1_label.dvol,x0\n")
+    with pytest.raises(FormatError, match=r"manifest\.csv:2: seed 'x0' is not an integer"):
+        read_manifest(tmp_path)
 
 
 def test_load_case_spacing_mismatch(tmp_path):
