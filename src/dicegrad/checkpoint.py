@@ -3,7 +3,7 @@
 Layout (little-endian throughout):
 
     magic   4 bytes  "DGRD"
-    version u32      currently 1
+    version u32      currently 2; version 1 is still read
     entries          repeated until 4 bytes before EOF:
         name_len u32, name UTF-8, rank u32, dims rank*u64, data f64...
     crc32   u32      of everything between the version field and the CRC
@@ -14,6 +14,12 @@ and running-statistic tensors, "opt.*" the Adam moments and step counter.
 Optimizer entries are optional (an eval-only checkpoint omits them).
 Round trips are byte-exact: float64 payloads are written bitwise and the
 entry order is fixed, so saving a loaded checkpoint reproduces the file.
+
+Version 1 also stored a conv bias b per batch-norm unit ("model.<unit>.bias"
+and its Adam moments).  Batch norm cancels such a bias in training, and in
+inference it only shifts the running mean, so a version-1 file loads with
+running_mean - b in its place and the moments dropped: its eval predictions
+are bit for bit those it gave before, and saving it writes version 2.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import ModelConfig, SegModel, build_model
 from .optim import AdamState
 from .tensor_core import Rng
 from .volume_io import write_file
 
 MAGIC = b"DGRD"
-VERSION = 1
+VERSION = 2
 
 _CFG_FIELDS = ("in_channels", "num_labels", "depth", "base_channels", "patch_size")
 
@@ -86,6 +92,16 @@ class _Reader:
         return name, data.copy()
 
 
+def _pop_count(path, entries: dict, key: str) -> int:
+    """Pop the scalar entry `key`, which must be a finite non-negative integer."""
+    v = entries.pop(key)
+    if v.ndim or not (np.isfinite(v) and v >= 0 and v == np.floor(v)):
+        shown = f"shape {v.shape}" if v.ndim else repr(float(v))
+        raise FormatError(f"{path}: entry {key!r} must be a non-negative "
+                          f"integer scalar, got {shown}")
+    return int(v)
+
+
 def save_checkpoint(m: SegModel, state: AdamState | None, path) -> None:
     """Write model (+ optional Adam `state`) atomically."""
     parts = []
@@ -112,7 +128,7 @@ def load_checkpoint(path):
         r.pos = 0
         r.fail("bad magic")
     version = r.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         r.fail(f"unsupported version {version}")
     if len(data) < r.pos + 4:
         r.fail("missing checksum")
@@ -134,8 +150,11 @@ def load_checkpoint(path):
         key = f"cfg.{f}"
         if key not in entries:
             raise FormatError(f"{path}: missing config entry {key!r}")
-        cfg_kwargs[f] = int(round(float(entries.pop(key))))
-    cfg = ModelConfig(**cfg_kwargs)
+        cfg_kwargs[f] = _pop_count(path, entries, key)
+    try:
+        cfg = ModelConfig(**cfg_kwargs)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad model configuration: {exc}") from None
     m = build_model(cfg, Rng(0))
 
     def pop_tensor(key: str, like: np.ndarray, what: str) -> np.ndarray:
@@ -150,13 +169,18 @@ def load_checkpoint(path):
 
     for name, arr in m.state_table().items():
         arr[...] = pop_tensor(f"model.{name}", arr, "tensor")
+    if version == 1:
+        for name, u in m.units.items():
+            u.bn_running_mean -= pop_tensor(f"model.{name}.bias", u.bn_running_mean, "tensor")
+            entries.pop(f"opt.m.{name}.bias", None)
+            entries.pop(f"opt.v.{name}.bias", None)
 
     state = None
     opt_keys = [k for k in entries if k.startswith("opt.")]
     if opt_keys:
         if "opt.step" not in entries:
             raise FormatError(f"{path}: optimizer entries present but opt.step missing")
-        step = int(round(float(entries.pop("opt.step"))))
+        step = _pop_count(path, entries, "opt.step")
         m_mom, v_mom = {}, {}
         for name, arr in m.param_table().items():
             m_mom[name] = pop_tensor(f"opt.m.{name}", arr, "optimizer tensor")

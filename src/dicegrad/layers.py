@@ -27,8 +27,8 @@ BN_EPS = 1e-5
 class LayerParams:
     """Parameter bundle for one convolution + batch-norm unit.
 
-    Fields not used by a given layer stay None (e.g. a plain conv head has
-    no batch-norm entries).
+    Fields not used by a given layer stay None: a plain conv head has no
+    batch-norm entries, and a conv followed by a batch norm has no bias.
     """
 
     weights: np.ndarray | None = None        # [out_ch, in_ch, 3, 3]
@@ -130,14 +130,16 @@ def _corr3x3_one_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, p: LayerParams):
-    """3x3 "same" convolution: y[b,o,i,j] = bias[o] + sum_{c,u,v} W[o,c,u,v]*xpad[b,c,i+u,j+v]."""
+    """3x3 "same" convolution: y[b,o,i,j] = bias[o] + sum_{c,u,v} W[o,c,u,v]*xpad[b,c,i+u,j+v],
+    with no bias term when `p.bias` is None."""
     w, bias = p.weights, p.bias
     if x.ndim != 4:
         raise SizeError(f"expected rank-4 input, got shape {x.shape}")
     if x.shape[1] != w.shape[1]:
         raise SizeError(f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}")
     y = _corr3x3_one_channel(x, w) if x.shape[1] == 1 else _corr3x3(x, w)
-    y += bias[None, :, None, None]
+    if bias is not None:
+        y += bias[None, :, None, None]
     return y, (x, w)
 
 
@@ -212,14 +214,14 @@ def fold_batchnorm(p: LayerParams) -> LayerParams:
 
     With the running statistics, batch norm is the per-channel affine map
     y = s*(z - running_mean) + beta, s = gamma/sqrt(running_var + eps), of
-    the conv output z = W*x + b, so it equals the conv with weights W*s and
-    bias (b - running_mean)*s + beta.  Built afresh on every call, since
+    the bias-free conv output z = W*x, so it equals the conv with weights
+    W*s and bias beta - running_mean*s.  Built afresh on every call, since
     training and checkpoint loading change `p` in place; the result differs
     from the unfolded evaluation by rounding only.
     """
     s = p.bn_gamma * (1.0 / np.sqrt(p.bn_running_var + BN_EPS))
     return LayerParams(weights=p.weights * s[:, None, None, None],
-                       bias=(p.bias - p.bn_running_mean) * s + p.bn_beta)
+                       bias=p.bn_beta - p.bn_running_mean * s)
 
 
 def batchnorm_backward(cache, dy: np.ndarray):

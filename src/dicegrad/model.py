@@ -66,7 +66,6 @@ class SegModel:
         for name in self.unit_names():
             u = self.units[name]
             t[f"{name}.weights"] = u.weights
-            t[f"{name}.bias"] = u.bias
             t[f"{name}.gamma"] = u.bn_gamma
             t[f"{name}.beta"] = u.bn_beta
         t["head.weights"] = self.final.weights
@@ -109,21 +108,23 @@ def _unit_channels(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
 def _init_unit(cin: int, cout: int, rng: Rng, with_bn: bool = True) -> layers.LayerParams:
     # He initialization: std = sqrt(2 / fan_in) with fan_in = cin * 3 * 3.
     std = np.sqrt(2.0 / (cin * 9))
-    p = layers.LayerParams(
-        weights=rng.normal((cout, cin, 3, 3), std=std),
-        bias=np.zeros(cout),
-    )
+    p = layers.LayerParams(weights=rng.normal((cout, cin, 3, 3), std=std))
     if with_bn:
+        # No conv bias: train-mode batch norm subtracts the batch mean,
+        # which would cancel it.
         p.bn_gamma = np.ones(cout)
         p.bn_beta = np.zeros(cout)
         p.bn_running_mean = np.zeros(cout)
         p.bn_running_var = np.ones(cout)
+    else:
+        p.bias = np.zeros(cout)
     return p
 
 
 def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
-    """Construct the network with He-initialized conv weights, zero biases,
-    and identity batch-norm scales; deterministic for a given rng."""
+    """Construct the network with He-initialized conv weights, identity
+    batch-norm scales and no conv bias in front of a batch norm (the head
+    conv has a zero bias); deterministic for a given rng."""
     m = SegModel(cfg=cfg)
     ch = _unit_channels(cfg)
     for i, (name, (cin, cout)) in enumerate(ch.items()):
@@ -134,9 +135,11 @@ def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
 
 def _unit_forward(m: SegModel, name: str, x, train: bool, record):
     """One conv-BN-ReLU unit; its cache goes straight to `record` and only
-    the output is returned.  For inference the unit is one conv with the
-    batch norm folded in (`layers.fold_batchnorm`) and a ReLU applied in
-    place on the conv's own output, so nothing of the unit outlives it."""
+    the output is returned.  The conv has no bias, since the batch norm's
+    mean subtraction would cancel it.  For inference the unit is one conv
+    with the batch norm folded in (`layers.fold_batchnorm`) and a ReLU
+    applied in place on the conv's own output, so nothing of the unit
+    outlives it."""
     u = m.units[name]
     if not train:
         y, _ = layers.conv2d(x, layers.fold_batchnorm(u))
@@ -152,9 +155,8 @@ def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
     c_conv, c_bn, c_relu = cache
     dy = layers.relu_backward(c_relu, dy)
     dy, dgamma, dbeta = layers.batchnorm_backward(c_bn, dy)
-    dx, dw, db = layers.conv2d_backward(c_conv, dy, need_dx=need_dx)
+    dx, dw, _ = layers.conv2d_backward(c_conv, dy, need_dx=need_dx)
     grads[f"{name}.weights"] = dw
-    grads[f"{name}.bias"] = db
     grads[f"{name}.gamma"] = dgamma
     grads[f"{name}.beta"] = dbeta
     return dx

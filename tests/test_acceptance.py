@@ -8,7 +8,12 @@ results/compare/; regenerate them with
     DICEGRAD_THREADS=2 dicegrad compare --data <dataset> --out results/compare \
         --set model.base_channels=9
 
-where <dataset> is a default `dicegrad gen-data` output directory.
+where <dataset> is a default `dicegrad gen-data` output directory. From a
+checkout where the package is not installed, the same commands run as
+
+    PYTHONPATH=src python -m dicegrad.cli gen-data --out <dataset>
+    DICEGRAD_THREADS=2 PYTHONPATH=src python -m dicegrad.cli compare \
+        --data <dataset> --out results/compare --set model.base_channels=9
 """
 
 import csv

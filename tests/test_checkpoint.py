@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from dicegrad import checkpoint
+from dicegrad import checkpoint, layers, model
 from dicegrad.errors import FormatError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
@@ -75,7 +75,10 @@ def test_header_magic_and_version(tmp_path):
     save_checkpoint(make_model(), None, path)
     raw = path.read_bytes()
     assert raw[:4] == b"DGRD"
-    assert struct.unpack("<I", raw[4:8])[0] == 1
+    assert struct.unpack("<I", raw[4:8])[0] == checkpoint.VERSION == 2
+    path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])     # the CRC skips the header
+    with pytest.raises(FormatError, match="unsupported version 3"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -137,7 +140,7 @@ def test_missing_tensor_rejected(tmp_path):
             continue
         parts.append(checkpoint._pack_entry(f"model.{name}", arr))
     body = b"".join(parts)
-    path.write_bytes(b"DGRD" + struct.pack("<I", 1) + body
+    path.write_bytes(b"DGRD" + struct.pack("<I", checkpoint.VERSION) + body
                      + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(FormatError, match="missing tensor"):
         load_checkpoint(path)
@@ -156,12 +159,32 @@ def test_loaded_model_predicts_identically(tmp_path):
     assert np.array_equal(pa, pb)
 
 
-def _write_entries(path, entries):
+def _write_entries(path, entries, version=checkpoint.VERSION):
     import zlib
 
     body = b"".join(checkpoint._pack_entry(name, arr) for name, arr in entries)
-    path.write_bytes(b"DGRD" + struct.pack("<I", 1) + body
+    path.write_bytes(b"DGRD" + struct.pack("<I", version) + body
                      + struct.pack("<I", zlib.crc32(body)))
+
+
+def _entries(m, state):
+    """(name, value) pairs in the order save_checkpoint writes them."""
+    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
+    entries.append(("opt.step", float(state.step)))
+    for n in m.param_table():
+        entries += [(f"opt.m.{n}", state.m[n]), (f"opt.v.{n}", state.v[n])]
+    return entries
+
+
+def _entry_names(path):
+    raw = path.read_bytes()
+    r = checkpoint._Reader(raw, path)
+    r.pos = 8
+    names = []
+    while r.pos < len(raw) - 4:
+        names.append(r.entry()[0])
+    return names
 
 
 @pytest.mark.parametrize("target, change, message", [
@@ -173,11 +196,7 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     m = make_model()
     state = make_state(m)
     path = tmp_path / "m.dgrd"
-    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
-    entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
-    entries.append(("opt.step", float(state.step)))
-    for n in m.param_table():
-        entries += [(f"opt.m.{n}", state.m[n]), (f"opt.v.{n}", state.v[n])]
+    entries = _entries(m, state)
     save_checkpoint(m, state, tmp_path / "saved.dgrd")
     _write_entries(path, entries)            # the real layout, before the change
     assert path.read_bytes() == (tmp_path / "saved.dgrd").read_bytes()
@@ -189,3 +208,85 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     _write_entries(path, entries)
     with pytest.raises(FormatError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("cfg.depth", np.nan, "'cfg.depth' must be a non-negative integer scalar, got nan"),
+    ("cfg.depth", np.ones(1), r"'cfg.depth' must be .*, got shape \(1,\)"),
+    ("cfg.depth", 1.4, "'cfg.depth' must be .*, got 1.4"),
+    ("cfg.base_channels", np.inf, "'cfg.base_channels' must be .*, got inf"),
+    ("cfg.num_labels", 1.0, "bad model configuration: num_labels must be >= 2"),
+    ("opt.step", -1.0, "'opt.step' must be .*, got -1.0"),
+    ("opt.step", 2.5, "'opt.step' must be .*, got 2.5"),
+])
+def test_bad_scalar_entry_rejected(tmp_path, key, value, message):
+    # CRC-valid files whose config or step scalar is not a count.
+    m = make_model()
+    path = tmp_path / "m.dgrd"
+    entries = [(n, value if n == key else a) for n, a in _entries(m, make_state(m))]
+    _write_entries(path, entries)
+    with pytest.raises(FormatError, match=message) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def _v1_entries(m, state, biases):
+    """The version-1 layout: each unit's conv bias after its weights, in the
+    model tensors and, with nonzero moments, in the Adam state."""
+    entries = []
+    for name, arr in _entries(m, state):
+        entries.append((name, arr))
+        for prefix in ("model.", "opt.m.", "opt.v."):
+            unit = name[len(prefix):-len(".weights")]
+            if name == f"{prefix}{unit}.weights" and unit in biases:
+                b = biases[unit]
+                entries.append((f"{prefix}{unit}.bias",
+                                {"model.": b, "opt.m.": 0.1 * b, "opt.v.": b * b}[prefix]))
+    return entries
+
+
+def test_version_1_checkpoint_moves_unit_bias_into_running_mean(tmp_path, monkeypatch):
+    m = make_model(seed=5)
+    rng = Rng(6)
+    biases = {}
+    for i, (name, u) in enumerate(m.units.items()):
+        c = u.bn_gamma.shape[0]
+        u.bn_gamma = rng.child(i).child(0).normal((c,), mean=1.0, std=0.5)
+        u.bn_beta = rng.child(i).child(1).normal((c,), std=0.5)
+        biases[name] = rng.child(i).child(2).normal((c,))
+    state = make_state(m)
+    v1 = tmp_path / "v1.dgrd"
+    _write_entries(v1, _v1_entries(m, state, biases), version=1)
+    assert sum(n.endswith(".bias") for n in _entry_names(v1)) == 3 * (len(biases) + 1)
+
+    back, st = load_checkpoint(v1)
+    for name, u in back.units.items():
+        assert u.bias is None
+        want = m.units[name].bn_running_mean - biases[name]
+        assert want.tobytes() == u.bn_running_mean.tobytes()
+    assert st.step == state.step and set(st.m) == set(st.v) == set(m.param_table())
+    for n in st.m:
+        assert np.array_equal(st.m[n], state.m[n]) and np.array_equal(st.v[n], state.v[n])
+
+    # Eval probabilities are bitwise those of the version-1 fold of the
+    # stored bias, (b - running_mean)*s + beta.
+    x = Rng(7).normal((3, 1, 8, 8))
+    got, _ = model.forward(back, x, "eval")
+
+    def v1_fold(p):
+        s = p.bn_gamma * (1.0 / np.sqrt(p.bn_running_var + layers.BN_EPS))
+        return layers.LayerParams(weights=p.weights * s[:, None, None, None],
+                                  bias=(p.bias - p.bn_running_mean) * s + p.bn_beta)
+
+    for name, u in m.units.items():
+        u.bias = biases[name]
+    monkeypatch.setattr(layers, "fold_batchnorm", v1_fold)
+    want, _ = model.forward(m, x, "eval")
+    assert got.tobytes() == want.tobytes()
+
+    # Saving it writes version 2, with no unit bias or its moments.
+    v2 = tmp_path / "v2.dgrd"
+    save_checkpoint(back, st, v2)
+    assert struct.unpack("<I", v2.read_bytes()[4:8])[0] == 2
+    assert [n for n in _entry_names(v2) if n.endswith(".bias")] == [
+        "model.head.bias", "opt.m.head.bias", "opt.v.head.bias"]

@@ -2,13 +2,16 @@
 
 import os
 import re
+import struct
 import warnings
+import zlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from dicegrad import checkpoint, cli, gradcheck, model
+from dicegrad.tensor_core import Rng
 
 
 TINY = [
@@ -277,6 +280,24 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
                    "--checkpoint", str(ckpt)])
     assert rc == cli.EXIT_IO
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_eval_malformed_checkpoint_scalar_is_io_error(tmp_path, capsys):
+    # A CRC-valid checkpoint whose depth is NaN: one error line, exit 3.
+    data = gen(tmp_path)
+    m = model.build_model(model.ModelConfig(num_labels=7, depth=1, base_channels=2,
+                                            patch_size=16), Rng(0))
+    entries = [(f"cfg.{f}", np.nan if f == "depth" else float(getattr(m.cfg, f)))
+               for f in checkpoint._CFG_FIELDS]
+    entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
+    body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
+    ckpt = tmp_path / "nan_depth.dgrd"
+    ckpt.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + body
+                     + struct.pack("<I", zlib.crc32(body)))
+    rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
+                   "--checkpoint", str(ckpt)])
+    assert rc == cli.EXIT_IO
+    assert "'cfg.depth' must be a non-negative integer scalar, got nan" in capsys.readouterr().err
 
 
 def test_eval_needs_checkpoint_or_self_test(tmp_path):

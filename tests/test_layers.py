@@ -41,6 +41,9 @@ def test_conv_matches_naive_oracle():
     p = _conv_params(rng.child(1), 3, 4)
     y, _ = layers.conv2d(x, p)
     assert np.allclose(y, naive_conv3x3(x, p.weights, p.bias), atol=1e-12)
+    p.bias = None                      # a conv in front of a batch norm
+    y, _ = layers.conv2d(x, p)
+    assert np.allclose(y, naive_conv3x3(x, p.weights, np.zeros(4)), atol=1e-12)
 
 
 def test_conv_identity_kernel():
@@ -87,6 +90,37 @@ def test_batchnorm_running_stats_update():
     layers.batchnorm(x, p)
     assert np.allclose(p.bn_running_mean, 0.1 * batch_mean, atol=1e-12)
     assert np.allclose(p.bn_running_var, 0.9 + 0.1 * batch_var, atol=1e-12)
+
+
+def _bn_params(rng, c):
+    return layers.LayerParams(bn_gamma=rng.child(2).normal((c,)), bn_beta=rng.child(3).normal((c,)),
+                              bn_running_mean=np.zeros(c), bn_running_var=np.ones(c))
+
+
+def test_batchnorm_cancels_a_per_channel_shift():
+    # Why a unit's conv needs no bias: adding a constant to a channel moves
+    # its batch mean by that constant, so the output and the variance stay.
+    rng = Rng(24)
+    x = rng.child(0).normal((4, 3, 6, 5), mean=0.5, std=2.0)
+    shift = rng.child(1).normal((3,), std=3.0)
+    p, shifted = _bn_params(rng, 3), _bn_params(rng, 3)
+    y, _ = layers.batchnorm(x, p)
+    y_shifted, _ = layers.batchnorm(x + shift[None, :, None, None], shifted)
+    assert np.max(np.abs(y_shifted - y)) <= 1e-12
+    assert np.max(np.abs(shifted.bn_running_var - p.bn_running_var)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 6, 5), (8, 9, 64, 64)])
+def test_batchnorm_dx_sums_to_zero_per_channel(shape):
+    # The per-channel sum of dx is the gradient a conv bias in front of the
+    # batch norm would receive: zero, up to rounding.
+    rng = Rng(25)
+    x = rng.child(0).normal(shape, mean=0.5, std=2.0)
+    dy = rng.child(1).normal(shape)
+    _, cache = layers.batchnorm(x, _bn_params(rng, shape[1]))
+    dx, _, _ = layers.batchnorm_backward(cache, dy)
+    sums = dx.sum(axis=(0, 2, 3))
+    assert np.all(np.abs(sums) <= 1e-12 * np.abs(dx).sum(axis=(0, 2, 3)))
 
 
 def test_batchnorm_eval_uses_running_stats():
@@ -303,6 +337,14 @@ def test_conv_bitwise_equals_nine_shift_reference(shape):
     want_dx, want_dw, want_db = reference_conv_backward(x, p.weights, dy)
     assert _same_bits(dx, want_dx) and _same_bits(db, want_db)
     assert _rel_err(dw, want_dw) <= REL_TOL
+    # Without a bias, as in front of a batch norm, the add is skipped: the
+    # zero-bias output value for value (a -0.0 is not turned into +0.0),
+    # and the same backward bit for bit.
+    y, cache = layers.conv2d(x, layers.LayerParams(weights=p.weights))
+    y0, cache0 = layers.conv2d(x, layers.LayerParams(weights=p.weights, bias=np.zeros(O)))
+    assert np.array_equal(y, y0)
+    got, want = layers.conv2d_backward(cache, dy), layers.conv2d_backward(cache0, dy)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
 
 
 @pytest.mark.parametrize("shape", BITWISE_SHAPES)
@@ -332,6 +374,7 @@ def test_folded_conv_matches_conv_then_eval_batchnorm(shape):
     rng = Rng(57)
     x = rng.child(0).normal((B, C, H, W))
     p = _conv_params(rng.child(1), C, O)
+    p.bias = None                      # batch-norm units have no conv bias
     p.bn_gamma, p.bn_beta = rng.child(2).normal((O,)), rng.child(3).normal((O,))
     p.bn_running_mean = rng.child(4).normal((O,))
     p.bn_running_var = rng.child(5).uniform((O,), 0.5, 2.0)
@@ -506,6 +549,8 @@ def test_layers_never_write_their_inputs():
                            bn_gamma=rng.child(4).normal((3,)), bn_beta=rng.child(5).normal((3,)),
                            bn_running_mean=np.zeros(3), bn_running_var=np.ones(3))
     _, cache = call(layers.conv2d, x, p)
+    call(layers.conv2d_backward, cache, dy)
+    _, cache = call(layers.conv2d, x, layers.LayerParams(weights=p.weights))     # no bias
     call(layers.conv2d_backward, cache, dy)
     call(layers.conv2d_backward, cache, dy, False)
     call(layers.fold_batchnorm, p)

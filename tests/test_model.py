@@ -60,13 +60,14 @@ def test_init_statistics():
     want_std = np.sqrt(2.0 / (32 * 9))
     assert abs(u.weights.std() - want_std) / want_std < 0.05
     assert abs(u.weights.mean()) < 0.01
-    assert np.all(u.bias == 0.0)
     assert np.all(u.bn_gamma == 1.0)
     assert np.all(u.bn_beta == 0.0)
     assert np.all(u.bn_running_mean == 0.0)
     assert np.all(u.bn_running_var == 1.0)
-    # head conv has no batch norm
+    # batch norm cancels a conv bias, so only the head conv has one
+    assert all(v.bias is None for v in m.units.values())
     assert m.final.bn_gamma is None
+    assert np.all(m.final.bias == 0.0)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -82,10 +83,11 @@ def test_init_deterministic_and_seed_sensitive():
 def test_param_and_state_tables():
     m = tiny(depth=2, patch=8)
     params = m.param_table()
-    # 2 units per stage, 2 enc + 1 mid + 2 dec stages, 4 arrays each + head
-    assert len(params) == 10 * 4 + 2
+    # 2 units per stage, 2 enc + 1 mid + 2 dec stages, 3 arrays each + head
+    assert len(params) == 10 * 3 + 2 == 32
+    assert [n for n in params if n.endswith(".bias")] == ["head.bias"]
     state = m.state_table()
-    assert len(state) == len(params) + 10 * 2
+    assert len(state) == len(params) + 10 * 2 == 52
     # live references: mutating the table entry mutates the model
     params["head.bias"][0] = 123.0
     assert m.final.bias[0] == 123.0
@@ -229,9 +231,8 @@ def test_eval_forward_matches_unfolded_batchnorm():
     m = tiny(num_labels=4, depth=2, base=3, patch=16, seed=8)
     rng = Rng(9)
     for i, u in enumerate(m.units.values()):
-        c = u.bias.shape[0]
+        c = u.bn_gamma.shape[0]
         r = rng.child(i)
-        u.bias = r.child(0).normal((c,))
         u.bn_gamma = r.child(1).normal((c,), mean=1.0, std=0.5)
         u.bn_beta = r.child(2).normal((c,), std=0.5)
         u.bn_running_mean = r.child(3).normal((c,))
