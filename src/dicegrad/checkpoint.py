@@ -30,9 +30,8 @@ import zlib
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import ModelConfig, SegModel, build_model
+from .model import ModelConfig, SegModel, assemble
 from .optim import AdamState
-from .tensor_core import Rng
 from .volume_io import write_file
 
 MAGIC = b"DGRD"
@@ -155,25 +154,27 @@ def load_checkpoint(path):
         cfg = ModelConfig(**cfg_kwargs)
     except ConfigError as exc:
         raise FormatError(f"{path}: bad model configuration: {exc}") from None
-    m = build_model(cfg, Rng(0))
 
-    def pop_tensor(key: str, like: np.ndarray, what: str) -> np.ndarray:
+    def pop_tensor(key: str, shape: tuple, what: str) -> np.ndarray:
         if key not in entries:
             raise FormatError(f"{path}: missing {what} {key!r}")
         stored = entries.pop(key)
-        if stored.shape != like.shape:
-            raise FormatError(
-                f"{path}: tensor {key!r} has shape {stored.shape}, expected {like.shape}"
-            )
+        if stored.shape != shape:
+            raise FormatError(f"{path}: tensor {key!r} has shape {stored.shape}, expected {shape}")
         return stored
 
-    for name, arr in m.state_table().items():
-        arr[...] = pop_tensor(f"model.{name}", arr, "tensor")
-    if version == 1:
-        for name, u in m.units.items():
-            u.bn_running_mean -= pop_tensor(f"model.{name}.bias", u.bn_running_mean, "tensor")
-            entries.pop(f"opt.m.{name}.bias", None)
-            entries.pop(f"opt.v.{name}.bias", None)
+    def model_tensor(name: str, shape: tuple) -> np.ndarray:
+        arr = pop_tensor(f"model.{name}", shape, "tensor")
+        unit, _, kind = name.rpartition(".")
+        if version == 1 and kind == "running_mean":
+            arr -= pop_tensor(f"model.{unit}.bias", shape, "tensor")
+            entries.pop(f"opt.m.{unit}.bias", None)
+            entries.pop(f"opt.v.{unit}.bias", None)
+        return arr
+
+    # Every stored tensor is checked against the shape the config implies
+    # before it joins the model, and the model holds the file's arrays.
+    m = assemble(cfg, model_tensor)
 
     state = None
     opt_keys = [k for k in entries if k.startswith("opt.")]
@@ -183,8 +184,8 @@ def load_checkpoint(path):
         step = _pop_count(path, entries, "opt.step")
         m_mom, v_mom = {}, {}
         for name, arr in m.param_table().items():
-            m_mom[name] = pop_tensor(f"opt.m.{name}", arr, "optimizer tensor")
-            v_mom[name] = pop_tensor(f"opt.v.{name}", arr, "optimizer tensor")
+            m_mom[name] = pop_tensor(f"opt.m.{name}", arr.shape, "optimizer tensor")
+            v_mom[name] = pop_tensor(f"opt.v.{name}", arr.shape, "optimizer tensor")
         state = AdamState(step=step, m=m_mom, v=v_mom)
 
     if entries:

@@ -368,9 +368,12 @@ def bilinear_up2_backward(cache, dy: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def softmax(x: np.ndarray):
-    """Per-pixel softmax over axis 1, shifted by the per-pixel max for stability."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    """Per-pixel softmax over axis 1, shifted by the per-pixel max for
+    stability; one activation-sized array, exponentiated and normalized in
+    place."""
+    p = x - x.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     return p, p
 
 

@@ -17,7 +17,7 @@ joined with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .tensor_core import Rng
 
 # Tiles per eval-mode forward in `segment_volume`.
 MAX_BATCH = 16
+
+# The `LayerParams` fields that are running statistics, not parameters.
+_STATS = ("bn_running_mean", "bn_running_var")
 
 
 @dataclass
@@ -42,10 +45,11 @@ class ModelConfig:
             raise ConfigError(f"num_labels must be >= 2, got {self.num_labels}")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.patch_size % (1 << self.depth) != 0:
-            raise ConfigError(
-                f"patch_size {self.patch_size} not divisible by 2^depth = {1 << self.depth}"
-            )
+        # Shifted rather than divided by 1 << depth, which a checkpoint's
+        # depth could make arbitrarily large.
+        if self.patch_size < 1 or self.patch_size >> self.depth << self.depth != self.patch_size:
+            raise ConfigError(f"patch_size {self.patch_size} is not a positive multiple "
+                              f"of 2^depth (depth {self.depth})")
         if self.in_channels < 1 or self.base_channels < 1:
             raise ConfigError("in_channels and base_channels must be >= 1")
 
@@ -53,33 +57,22 @@ class ModelConfig:
 @dataclass
 class SegModel:
     cfg: ModelConfig
-    units: dict[str, layers.LayerParams] = field(default_factory=dict)
-    final: layers.LayerParams | None = None
+    units: dict[str, layers.LayerParams]     # conv-BN-ReLU units in execution order
+    final: layers.LayerParams
 
-    def unit_names(self) -> list[str]:
-        """Conv-BN-ReLU unit names in forward execution order."""
-        return list(_unit_channels(self.cfg))
+    def _params(self, name: str) -> layers.LayerParams:
+        unit = name.rpartition(".")[0]
+        return self.final if unit == "head" else self.units[unit]
 
     def param_table(self) -> dict[str, np.ndarray]:
         """Trainable parameters, name -> array (live references)."""
-        t = {}
-        for name in self.unit_names():
-            u = self.units[name]
-            t[f"{name}.weights"] = u.weights
-            t[f"{name}.gamma"] = u.bn_gamma
-            t[f"{name}.beta"] = u.bn_beta
-        t["head.weights"] = self.final.weights
-        t["head.bias"] = self.final.bias
-        return t
+        return {name: getattr(self._params(name), attr)
+                for name, attr, _ in layout(self.cfg) if attr not in _STATS}
 
     def state_table(self) -> dict[str, np.ndarray]:
         """Everything a checkpoint must carry: parameters + running stats."""
-        t = self.param_table()
-        for name in self.unit_names():
-            u = self.units[name]
-            t[f"{name}.running_mean"] = u.bn_running_mean
-            t[f"{name}.running_var"] = u.bn_running_var
-        return t
+        return {name: getattr(self._params(name), attr)
+                for name, attr, _ in layout(self.cfg)}
 
 
 def _unit_channels(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -105,32 +98,49 @@ def _unit_channels(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     return ch
 
 
-def _init_unit(cin: int, cout: int, rng: Rng, with_bn: bool = True) -> layers.LayerParams:
-    # He initialization: std = sqrt(2 / fan_in) with fan_in = cin * 3 * 3.
-    std = np.sqrt(2.0 / (cin * 9))
-    p = layers.LayerParams(weights=rng.normal((cout, cin, 3, 3), std=std))
-    if with_bn:
-        # No conv bias: train-mode batch norm subtracts the batch mean,
-        # which would cancel it.
-        p.bn_gamma = np.ones(cout)
-        p.bn_beta = np.zeros(cout)
-        p.bn_running_mean = np.zeros(cout)
-        p.bn_running_var = np.ones(cout)
-    else:
-        p.bias = np.zeros(cout)
-    return p
+def layout(cfg: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """The network's tensors as (name, `LayerParams` field, shape), in the
+    order of `state_table`: each unit's conv weights, gamma and beta, the
+    head's weights and bias, then each unit's running mean and variance.
+    A conv followed by a batch norm has no bias, since the batch norm's
+    mean subtraction would cancel it."""
+    params, stats = [], []
+    for name, (cin, cout) in _unit_channels(cfg).items():
+        params += [(f"{name}.weights", "weights", (cout, cin, 3, 3)),
+                   (f"{name}.gamma", "bn_gamma", (cout,)),
+                   (f"{name}.beta", "bn_beta", (cout,))]
+        stats += [(f"{name}.running_mean", "bn_running_mean", (cout,)),
+                  (f"{name}.running_var", "bn_running_var", (cout,))]
+    head = [("head.weights", "weights", (cfg.num_labels, cfg.base_channels, 3, 3)),
+            ("head.bias", "bias", (cfg.num_labels,))]
+    return params + head + stats
+
+
+def assemble(cfg: ModelConfig, tensor) -> SegModel:
+    """Build a SegModel whose every tensor is `tensor(name, shape)`, asked
+    for once per `layout` entry in its order."""
+    m = SegModel(cfg, {name: layers.LayerParams() for name in _unit_channels(cfg)},
+                 layers.LayerParams())
+    for name, attr, shape in layout(cfg):
+        setattr(m._params(name), attr, tensor(name, shape))
+    return m
 
 
 def build_model(cfg: ModelConfig, rng: Rng) -> SegModel:
     """Construct the network with He-initialized conv weights, identity
-    batch-norm scales and no conv bias in front of a batch norm (the head
-    conv has a zero bias); deterministic for a given rng."""
-    m = SegModel(cfg=cfg)
-    ch = _unit_channels(cfg)
-    for i, (name, (cin, cout)) in enumerate(ch.items()):
-        m.units[name] = _init_unit(cin, cout, rng.child(i))
-    m.final = _init_unit(cfg.base_channels, cfg.num_labels, rng.child(len(ch)), with_bn=False)
-    return m
+    batch-norm scales and a zero head bias; unit i (in execution order)
+    draws from rng.child(i) and the head from the next child, so it is
+    deterministic for a given rng."""
+    streams = [*_unit_channels(cfg), "head"]
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        unit, _, kind = name.rpartition(".")
+        if kind == "weights":
+            # He initialization: std = sqrt(2 / fan_in) with fan_in = in_ch * 3 * 3.
+            return rng.child(streams.index(unit)).normal(shape, std=np.sqrt(2.0 / (shape[1] * 9)))
+        return np.ones(shape) if kind in ("gamma", "running_var") else np.zeros(shape)
+
+    return assemble(cfg, init)
 
 
 def _unit_forward(m: SegModel, name: str, x, train: bool, record):

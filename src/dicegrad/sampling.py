@@ -146,11 +146,12 @@ def _translate(img, lab, dy: int, dx: int):
 
 def _elastic(img, lab, rng: Rng, sigma: float, alpha: float):
     patch = img.shape[0]
-    disp_y = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
-    disp_x = ndimage.gaussian_filter(rng.uniform((patch, patch), -1.0, 1.0), sigma) * alpha
-    ys, xs = np.meshgrid(np.arange(patch, dtype=float),
-                         np.arange(patch, dtype=float), indexing="ij")
-    coords = np.stack([ys + disp_y, xs + disp_x])
+    # The y and x displacement fields, smoothed in-plane by one filter call,
+    # then added to the pixel grid.
+    coords = ndimage.gaussian_filter(rng.uniform((2, patch, patch), -1.0, 1.0),
+                                     (0.0, sigma, sigma))
+    coords *= alpha
+    coords += np.indices((patch, patch), dtype=float)
     out_img = ndimage.map_coordinates(img, coords, order=1, mode="nearest")
     out_lab = ndimage.map_coordinates(lab, coords, order=0, mode="nearest")
     return out_img, out_lab

@@ -1,6 +1,8 @@
 """Checkpoint serialization: byte-exact round trips and corruption rejection."""
 
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -216,6 +218,8 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     ("cfg.depth", 1.4, "'cfg.depth' must be .*, got 1.4"),
     ("cfg.base_channels", np.inf, "'cfg.base_channels' must be .*, got inf"),
     ("cfg.num_labels", 1.0, "bad model configuration: num_labels must be >= 2"),
+    ("cfg.patch_size", 0.0, "bad model configuration: patch_size 0 is not a positive multiple"),
+    ("cfg.depth", 2.0 ** 20, r"bad model configuration: .* \(depth 1048576\)"),
     ("opt.step", -1.0, "'opt.step' must be .*, got -1.0"),
     ("opt.step", 2.5, "'opt.step' must be .*, got 2.5"),
 ])
@@ -290,3 +294,45 @@ def test_version_1_checkpoint_moves_unit_bias_into_running_mean(tmp_path, monkey
     assert struct.unpack("<I", v2.read_bytes()[4:8])[0] == 2
     assert [n for n in _entry_names(v2) if n.endswith(".bias")] == [
         "model.head.bias", "opt.m.head.bias", "opt.v.head.bias"]
+
+
+def test_load_builds_no_random_model(tmp_path, monkeypatch):
+    # The model is assembled from the file's own arrays: nothing is drawn.
+    m = make_model()
+    state = make_state(m)
+    path = tmp_path / "m.dgrd"
+    save_checkpoint(m, state, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random number")
+
+    for name in ("normal", "uniform"):
+        monkeypatch.setattr(Rng, name, no_draw)
+    monkeypatch.setattr(model, "build_model", no_draw)
+    assert not hasattr(checkpoint, "build_model") and not hasattr(checkpoint, "Rng")
+    back, st = load_checkpoint(path)
+    save_checkpoint(back, st, tmp_path / "again.dgrd")
+    assert (tmp_path / "again.dgrd").read_bytes() == path.read_bytes()
+
+
+def test_config_larger_than_tensors_rejected_before_allocating(tmp_path):
+    # A saved depth-2, base-2 file whose cfg.base_channels says 128 (CRC
+    # fixed): the first tensor's shape is refused before a model of that
+    # size exists, which would take 62 MiB.
+    m = build_model(ModelConfig(num_labels=7, depth=2, base_channels=2), Rng(0))
+    path = tmp_path / "m.dgrd"
+    save_checkpoint(m, None, path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4   # past the rank
+    raw[at:at + 8] = struct.pack("<d", 128.0)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[8:-4])))
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"'model.enc0.u0.weights' has shape "
+                                              r"\(2, 1, 3, 3\), expected \(128, 1, 3, 3\)"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -300,6 +300,24 @@ def test_eval_malformed_checkpoint_scalar_is_io_error(tmp_path, capsys):
     assert "'cfg.depth' must be a non-negative integer scalar, got nan" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_config_larger_than_its_tensors_is_io_error(tmp_path, capsys):
+    # A saved checkpoint whose cfg.base_channels was rewritten (CRC fixed).
+    data = gen(tmp_path)
+    m = model.build_model(model.ModelConfig(num_labels=7, depth=1, base_channels=2,
+                                            patch_size=16), Rng(0))
+    ckpt = tmp_path / "base128.dgrd"
+    checkpoint.save_checkpoint(m, None, ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4
+    raw[at:at + 8] = struct.pack("<d", 128.0)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[8:-4])))
+    ckpt.write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
+                   "--checkpoint", str(ckpt)])
+    assert rc == cli.EXIT_IO
+    assert "tensor 'model.enc0.u0.weights' has shape (2, 1, 3, 3)" in capsys.readouterr().err
+
+
 def test_eval_needs_checkpoint_or_self_test(tmp_path):
     data = gen(tmp_path)
     rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "e")])

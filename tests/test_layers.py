@@ -485,6 +485,21 @@ def copyto_pool_index(views, y):
     return idx
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 3, 3), (3, 4, 16, 12), (16, 7, 64, 64)])
+def test_softmax_bitwise_equals_three_array_form(shape):
+    # The in-place softmax against x - max, its exp and the quotient as
+    # three arrays; the last shape is an eval-mode batch of the study.
+    x = Rng(43).normal(shape, std=3.0)
+    special = _specials(x.size).reshape(shape)
+    mixed = np.where(Rng(44).uniform(shape) < 0.5, x, special)
+    for xi in (x, 1e3 * x, -1e3 * x, special, mixed):
+        with np.errstate(all="ignore"):      # inf - inf and 0/0 make NaNs here
+            e = np.exp(xi - xi.max(axis=1, keepdims=True))
+            want = e / e.sum(axis=1, keepdims=True)
+            p, cache = layers.softmax(xi)
+        assert _same_bits(p, want) and cache is p
+
+
 @pytest.mark.parametrize("n", SPECIAL_LENGTHS)
 def test_maxpool_index_bitwise_equals_copyto_on_special_values(n):
     # Rows of 2n values in windows of four: every special value at every

@@ -1,12 +1,13 @@
 """Network topology, shapes, init, prediction, and sliding-window inference."""
 
+import hashlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from dicegrad import layers, model
+from dicegrad import config, layers, model
 from dicegrad.errors import ConfigError, SizeError, StateError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
@@ -29,8 +30,8 @@ def test_unit_channels_default_topology():
         "dec0.u0": (48, 16), "dec0.u1": (16, 16),
     }
     assert ch == want
-    # forward execution order, which unit_names and build_model follow
-    assert list(ch) == list(want) == build_model(cfg, Rng(0)).unit_names()
+    # forward execution order, which build_model's units follow
+    assert list(ch) == list(want) == list(build_model(cfg, Rng(0)).units)
 
 
 @pytest.mark.parametrize("depth,patch", [(1, 8), (2, 16), (3, 16)])
@@ -50,6 +51,10 @@ def test_config_validation():
         ModelConfig(num_labels=3, depth=0)
     with pytest.raises(ConfigError):
         ModelConfig(num_labels=3, depth=3, patch_size=12)   # 12 % 8 != 0
+    with pytest.raises(ConfigError, match="patch_size 0 is not a positive multiple"):
+        ModelConfig(num_labels=3, depth=1, patch_size=0)
+    with pytest.raises(ConfigError, match=r"\(depth 100000\)"):
+        ModelConfig(num_labels=3, depth=100_000, patch_size=64)   # 2^depth has 30,103 digits
     with pytest.raises(ConfigError):
         ModelConfig(num_labels=3, base_channels=0)
 
@@ -78,6 +83,44 @@ def test_init_deterministic_and_seed_sensitive():
         assert np.array_equal(a.param_table()[name], b.param_table()[name])
     assert not np.array_equal(a.units["enc0.u0"].weights,
                               c.units["enc0.u0"].weights)
+
+
+# sha256 over the names and bytes of the study configuration's initial
+# state_table, in its order, as built by `train` for seeds 0, 1 and 2.
+STUDY_INIT_SHA256 = {
+    0: "c4492a04487a04812d03feb259c360cbefab815b14bf07789918fdee4d5032b0",
+    1: "4312c4186223ed51334c04eceb6cbc5b2b17cfd1c93caa0c05720cb89eb74d62",
+    2: "17f08f83a6096502434efb773a0063a2c31968559ec57936b725d0cb6f80a9bd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STUDY_INIT_SHA256))
+def test_study_initial_weights_pinned(seed):
+    cfg = config.model_config(config.resolve(overrides=["model.base_channels=9"]))
+    h = hashlib.sha256()
+    for name, arr in build_model(cfg, Rng(seed).child(1)).state_table().items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == STUDY_INIT_SHA256[seed]
+
+
+def test_layout_names_fields_and_shapes():
+    cfg = ModelConfig(num_labels=5, depth=1, base_channels=3)
+    m = build_model(cfg, Rng(0))
+    entries = model.layout(cfg)
+    assert [name for name, _, _ in entries] == list(m.state_table())
+    for name, attr, shape in entries:
+        owner = m.final if name.startswith("head.") else m.units[name.rpartition(".")[0]]
+        assert getattr(owner, attr) is m.state_table()[name]
+        assert getattr(owner, attr).shape == shape, name
+    # six units: their parameters, the head's, then their running stats
+    assert [e for e in entries if e[0].startswith("mid.u0")] == [
+        ("mid.u0.weights", "weights", (6, 3, 3, 3)), ("mid.u0.gamma", "bn_gamma", (6,)),
+        ("mid.u0.beta", "bn_beta", (6,)), ("mid.u0.running_mean", "bn_running_mean", (6,)),
+        ("mid.u0.running_var", "bn_running_var", (6,))]
+    assert entries[18:20] == [("head.weights", "weights", (5, 3, 3, 3)),
+                              ("head.bias", "bias", (5,))]
+    assert len(entries) == 6 * 5 + 2
 
 
 def test_param_and_state_tables():
@@ -169,7 +212,7 @@ def test_eval_forward_keeps_no_cache(monkeypatch):
     m = tiny(depth=2, patch=8)
     x = Rng(4).normal((2, 1, 8, 8))
     # Eval convs get folded params, so a conv is named by its call order.
-    names = m.unit_names() + ["head"]
+    names = list(m.units) + ["head"]
     inner, inner_pool = layers.conv2d, layers.maxpool2
     inputs, alive_at_head = [], {}
     skips, concats, alive_at_dec_u1 = [], {}, {}

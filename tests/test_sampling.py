@@ -225,6 +225,22 @@ def test_elastic_bitwise_equals_per_channel_reference():
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), seed
 
 
+def test_elastic_bitwise_equals_two_filter_calls_at_default_config():
+    # One gaussian_filter over both fields (sigma 0 across them) against the
+    # reference's one call per field, at the default configuration.
+    cfg = SamplerConfig()
+    shape = (cfg.patch_size, cfg.patch_size)
+    for seed in range(3):
+        rng = Rng(950 + seed)
+        img = rng.child(0).normal(shape)
+        lab = rng.child(1).integers(0, 7, shape)
+        got = sampling._elastic(img, lab, rng.child(2), cfg.elastic_sigma, cfg.elastic_alpha)
+        want_img, want_hot = per_channel_elastic(img, one_hot(lab[None], 7)[0], rng.child(2),
+                                                 cfg.elastic_sigma, cfg.elastic_alpha)
+        assert got[0].tobytes() == want_img.tobytes(), seed
+        assert one_hot(got[1][None], 7)[0].tobytes() == want_hot.tobytes(), seed
+
+
 def onehot_stack_augment(img, onehot, rng, cfg):
     """Reference augmentation that carries a per-patch [L, P, P] one-hot
     stack through the flip, the translation (vacated pixels one-hot
