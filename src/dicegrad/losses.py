@@ -126,30 +126,34 @@ def _soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig, pooled: bool) -> L
     the labels together, per_label_mean keeps one quotient per label.  The
     gradient of each quotient is constant over the pixels of its group.
     """
-    inter = np.sum(p * r, axis=(2, 3))                  # [I, L]
-    mass = np.sum(p + r, axis=(2, 3))
+    # One activation-sized buffer holds p r, then p + r, then the gradient.
+    buf = p * r
+    inter = np.sum(buf, axis=(2, 3))                    # [I, L]
+    mass = np.sum(np.add(p, r, out=buf), axis=(2, 3))
     if pooled:
         inter = np.sum(inter, axis=0)[None]             # [1, L]
         mass = np.sum(mass, axis=0)[None]
     if cfg.dice_label_mode == "joint":
-        ls = slice(None)
+        lo = 0
         inter = np.sum(inter, axis=1)[:, None]          # [G, 1]
         mass = np.sum(mass, axis=1)[:, None]
     else:
-        ls = slice(0 if cfg.include_background else 1, None)
-        if ls.start >= p.shape[1]:
+        lo = 0 if cfg.include_background else 1
+        if lo >= p.shape[1]:
             raise ValidationError("no labels left after excluding background")
-        inter, mass = inter[:, ls], mass[:, ls]         # [G, L']
+        inter, mass = inter[:, lo:], mass[:, lo:]       # [G, L']
     num = 2.0 * inter + cfg.epsilon
     den = mass + cfg.epsilon
     q = num.size
     value = float(np.sum(1.0 - num / den)) / q
-    # d/dp of -(num/den) by the quotient rule
+    # d/dp of -(num/den) by the quotient rule: a - b r on the kept labels
     a = (num / den**2 / q)[:, :, None, None]
     b = (2.0 / den / q)[:, :, None, None]
-    grad = np.zeros_like(p)
-    grad[:, ls] = a - b * r[:, ls]
-    return LossResult(value, grad)
+    buf[:, :lo] = 0.0
+    kept = buf[:, lo:]
+    np.multiply(b, r[:, lo:], out=kept)
+    np.subtract(a, kept, out=kept)
+    return LossResult(value, buf)
 
 
 def compute_loss(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:

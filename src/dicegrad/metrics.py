@@ -1,7 +1,10 @@
 """Volumetric evaluation: Dice overlap and average surface distance.
 
-Both metrics operate on binary masks extracted from integer label volumes.
-The surface distance uses a fixed, documented definition so results are
+Dice comes from one label-count table of the two integer label volumes:
+the voxels per label on each side and the voxels where both agree, so
+DSC = 2|A n B| / (|A| + |B|) per label, 1.0 when both masks are empty and
+0.0 when exactly one is.  The surface distance works on the binary masks
+of one label and uses a fixed, documented definition so results are
 reproducible:
 
   * a foreground voxel is a boundary voxel iff any of its six face
@@ -37,19 +40,6 @@ def _binary_mask(volume: np.ndarray, label: int) -> np.ndarray:
     if not float(label).is_integer() or label < 0:
         raise ValidationError(f"label must be a nonnegative integer, got {label!r}")
     return volume == int(label)
-
-
-def dice_coefficient(pred: np.ndarray, gt: np.ndarray, label: int) -> float:
-    """2|A n B| / (|A| + |B|) for the masks of `label`; 1.0 when both are
-    empty, 0.0 when exactly one is."""
-    if pred.shape != gt.shape:
-        raise ValidationError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    a = _binary_mask(pred, label)
-    b = _binary_mask(gt, label)
-    sa, sb = int(a.sum()), int(b.sum())
-    if sa + sb == 0:
-        return 1.0
-    return 2.0 * int((a & b).sum()) / (sa + sb)
 
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
@@ -151,20 +141,20 @@ def _label_counts(volume: np.ndarray, num_labels: int, what: str) -> np.ndarray:
 def evaluate_case(pred: np.ndarray, gt: LabeledVolume, num_labels: int) -> MetricsReport:
     """Per-foreground-label DSC and ASD of a predicted label volume against
     the ground truth; labels with an empty mask on either side get a None
-    ASD instead of a crash.  A label outside [0, num_labels) on either side
-    raises ValidationError."""
+    ASD instead of a crash.  Every DSC comes from the per-label counts of
+    each side and of the voxels where the two agree.  A label outside
+    [0, num_labels) on either side raises ValidationError."""
     if pred.shape != gt.labels.shape:
         raise ValidationError(f"shape mismatch {pred.shape} vs {gt.labels.shape}")
     gt_counts = _label_counts(gt.labels, num_labels, "ground truth")
     pred_counts = _label_counts(pred, num_labels, "prediction")
+    inter = np.bincount(gt.labels[pred == gt.labels], minlength=num_labels)
     per_label = {}
     for label in range(1, num_labels):
         gt_n = int(gt_counts[label])
         pred_n = int(pred_counts[label])
-        dsc = dice_coefficient(pred, gt.labels, label)
-        if gt_n and pred_n:
-            asd = average_surface_distance(pred, gt.labels, label, gt.spacing_mm)
-        else:
-            asd = None
+        dsc = 2.0 * int(inter[label]) / (gt_n + pred_n) if gt_n + pred_n else 1.0
+        asd = (average_surface_distance(pred, gt.labels, label, gt.spacing_mm)
+               if gt_n and pred_n else None)
         per_label[label] = LabelMetrics(dsc, asd, gt_n, pred_n)
     return MetricsReport(per_label)

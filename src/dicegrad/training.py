@@ -238,8 +238,14 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
     """Train every (loss, seed) cell and evaluate it on the shared holdout;
     `write_compare_reports` turns the rows into the study's reports."""
-    # Checked before any cell trains: a repeat would train one cell but count
-    # it twice, and a label outside the foreground has no DSC to average.
+    # Checked before any cell trains: a study without a cell or a holdout case
+    # has no row to report, a repeat would train one cell but count it twice,
+    # and a label outside the foreground has no DSC to average.
+    for key in ("losses", "seeds"):
+        if not getattr(cmp_cfg, key):
+            raise ValidationError(f"compare.{key} is empty: the study would train no cell")
+    if base_cfg.holdout_cases == 0:
+        raise ValidationError("train.holdout_cases is 0: the study would score no case")
     for key in ("losses", "seeds", "small_labels"):
         values = getattr(cmp_cfg, key)
         if len(set(values)) != len(values):

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from dicegrad import cli, config, gradcheck, losses, metrics, training
+from dicegrad.volume_io import LabeledVolume
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "compare"
 
@@ -245,10 +246,12 @@ def test_criterion_3_metric_oracles(capsys):
 
         ni = int(np.count_nonzero(a & b))
         na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
-        if metrics.dice_coefficient(la, lb, 1) != 2.0 * ni / (na + nb):
+        lm = metrics.evaluate_case(la, LabeledVolume(np.zeros(shape), lb, spacing),
+                                   num_labels=2).per_label[1]
+        if lm.dsc != 2.0 * ni / (na + nb):
             dsc_exact = False
 
-        got = metrics.average_surface_distance(la, lb, 1, spacing)
+        got = lm.asd_mm
         worst_asd = max(worst_asd, abs(got - oracle_asd(a, b, spacing)))
 
         if pair < 25:

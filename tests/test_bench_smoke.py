@@ -18,7 +18,7 @@ RUNNER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "perfbench", "run.py")
 
 
-@pytest.mark.parametrize("workload", ["train_step", "eval_volume"])
+@pytest.mark.parametrize("workload", ["train_step", "eval_volume", "gradcheck_suite"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run([sys.executable, RUNNER, "--workload", workload,
                            "--seconds", "0.2", "--trace", "1"],

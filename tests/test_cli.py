@@ -361,13 +361,19 @@ def test_compare_outputs_and_svg(tmp_path, capsys):
     assert "bsd>ce" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("setting", ["compare.small_labels=9", "compare.seeds=0,0"])
+@pytest.mark.parametrize("setting", ["compare.small_labels=9", "compare.seeds=0,0",
+                                     "compare.losses=", "compare.seeds=",
+                                     "train.holdout_cases=0"])
 def test_compare_bad_config_is_config_error(tmp_path, capsys, setting):
-    # rejected before any cell trains, so the missing dataset is never read
-    rc = cli.main(["compare", "--data", str(tmp_path / "nope"),
-                   "--out", str(tmp_path / "cmp")] + TINY + ["--set", setting])
+    # rejected before any cell trains, so the missing dataset is never read;
+    # a study with no cell or no holdout case has nothing to report
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--data", str(tmp_path / "nope"), "--out", str(out)]
+                  + TINY + ["--set", setting])
     assert rc == cli.EXIT_CONFIG
     assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (out / "verdicts.txt").exists()
+    assert not (out / "compare_results.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -77,18 +77,23 @@ def random_mask_pair(seed, size=12, p=0.15):
 
 
 # ---------------------------------------------------------------------------
-# Dice
+# Dice, from the per-case report's label-count table
 # ---------------------------------------------------------------------------
+
+def dsc(pred, gt):
+    """Label 1's DSC of 0/1 label volumes, as `evaluate_case` reports it."""
+    return metrics.evaluate_case(pred, _volume(gt), num_labels=2).per_label[1].dsc
+
 
 def test_dice_trivial_cases():
     a = np.zeros((4, 4, 4), dtype=np.int64)
     b = np.zeros((4, 4, 4), dtype=np.int64)
-    assert metrics.dice_coefficient(a, b, 1) == 1.0      # both empty
+    assert dsc(a, b) == 1.0      # both empty
     b[0, 0, 0] = 1
-    assert metrics.dice_coefficient(a, b, 1) == 0.0      # one empty
+    assert dsc(a, b) == 0.0      # one empty
     a[1, 1, 1] = 1
-    assert metrics.dice_coefficient(a, b, 1) == 0.0      # disjoint
-    assert metrics.dice_coefficient(b, b, 1) == 1.0      # identical
+    assert dsc(a, b) == 0.0      # disjoint
+    assert dsc(b, b) == 1.0      # identical
 
 
 def test_dice_hand_case():
@@ -97,7 +102,7 @@ def test_dice_hand_case():
     b = np.zeros((1, 1, 6), dtype=np.int64)
     a[0, 0, :4] = 1
     b[0, 0, 2:4] = 1
-    assert metrics.dice_coefficient(a, b, 1) == 2.0 * 2 / 6
+    assert dsc(a, b) == 2.0 * 2 / 6
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -106,17 +111,32 @@ def test_dice_matches_count_oracle(seed):
     na = int((pred == 1).sum())
     nb = int((gt == 1).sum())
     ni = int(((pred == 1) & (gt == 1)).sum())
-    assert metrics.dice_coefficient(pred, gt, 1) == 2.0 * ni / (na + nb)
+    assert dsc(pred, gt) == 2.0 * ni / (na + nb)
 
 
-def test_dice_validation():
-    a = np.zeros((2, 2, 2), dtype=np.int64)
-    with pytest.raises(ValidationError):
-        metrics.dice_coefficient(a, np.zeros((2, 2, 3), dtype=np.int64), 1)
-    with pytest.raises(ValidationError):
-        metrics.dice_coefficient(a, a, -1)
-    with pytest.raises(ValidationError):
-        metrics.dice_coefficient(a, a, 0.5)
+def reference_dice(pred, gt, label):
+    """Dice from the two masks of `label`, scanned apart: the reference that
+    `evaluate_case`'s label-count table must match bit for bit."""
+    a = pred == label
+    b = gt == label
+    sa, sb = int(a.sum()), int(b.sum())
+    if sa + sb == 0:
+        return 1.0
+    return 2.0 * int((a & b).sum()) / (sa + sb)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_case_dsc_is_bitwise_reference_dice(seed):
+    # Labels 4 and 5 never appear in the ground truth, label 5 nowhere: absent
+    # and both-empty labels are in every draw.
+    rng = Rng(seed + 80)
+    shape = tuple(int(s) for s in rng.integers(3, 12, 3))
+    gt = rng.integers(0, 4, shape).astype(np.uint8 if seed % 2 else np.int64)
+    pred = gt.copy() if seed == 0 else rng.child(1).integers(0, 5, shape)
+    rep = metrics.evaluate_case(pred, _volume(gt), num_labels=6)
+    assert rep.per_label[5].gt_voxels == rep.per_label[5].pred_voxels == 0
+    for label, lm in rep.per_label.items():
+        assert lm.dsc.hex() == reference_dice(pred, gt, label).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +191,14 @@ def test_asd_empty_mask_rejected():
     b[1, 1, 1] = 1
     with pytest.raises(ValidationError):
         metrics.average_surface_distance(a, b, 1, (1.0, 1.0, 1.0))
+
+
+def test_asd_label_validation():
+    a = np.zeros((2, 2, 2), dtype=np.int64)
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        metrics.average_surface_distance(a, a, -1, (1.0, 1.0, 1.0))
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        metrics.average_surface_distance(a, a, 0.5, (1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("seed", range(10))

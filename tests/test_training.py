@@ -392,18 +392,24 @@ def test_run_loss_comparison_sequential_and_parallel(tmp_path):
     assert par.results == seq.results
 
 
-@pytest.mark.parametrize("key,values", [
-    ("small_labels", (9,)), ("small_labels", (0,)), ("small_labels", (3, 7)),
-    ("small_labels", (3, 3)), ("losses", ("ce", "ce")), ("seeds", (0, 0)),
-], ids=["label9", "label0", "label7", "label-repeat", "loss-repeat", "seed-repeat"])
-def test_run_loss_comparison_rejects_bad_config(tmp_path, key, values):
+@pytest.mark.parametrize("key,value", [
+    ("compare.small_labels", (9,)), ("compare.small_labels", (0,)),
+    ("compare.small_labels", (3, 7)), ("compare.small_labels", (3, 3)),
+    ("compare.losses", ("ce", "ce")), ("compare.seeds", (0, 0)),
+    ("compare.losses", ()), ("compare.seeds", ()), ("train.holdout_cases", 0),
+], ids=["label9", "label0", "label7", "label-repeat", "loss-repeat", "seed-repeat",
+        "no-loss", "no-seed", "no-holdout"])
+def test_run_loss_comparison_rejects_bad_config(tmp_path, key, value):
     # Rejected before any cell trains; the dataset is never read.
     model_cfg = ModelConfig(num_labels=7, depth=1, base_channels=2, patch_size=16)
-    cmp_cfg = replace(training.CompareConfig(losses=("ce", "bsd"), seeds=(0,),
-                                             small_labels=(3,)), **{key: values})
-    with pytest.raises(ValidationError, match=f"compare.{key}"):
-        training.run_loss_comparison(tmp_path / "nope", model_cfg, fast_cfg(steps=1),
-                                     cmp_cfg, tmp_path / "out")
+    cfgs = {"train": fast_cfg(steps=1),
+            "compare": training.CompareConfig(losses=("ce", "bsd"), seeds=(0,),
+                                              small_labels=(3,))}
+    section, name = key.split(".")
+    cfgs[section] = replace(cfgs[section], **{name: value})
+    with pytest.raises(ValidationError, match=key):
+        training.run_loss_comparison(tmp_path / "nope", model_cfg, cfgs["train"],
+                                     cfgs["compare"], tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
