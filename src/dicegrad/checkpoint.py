@@ -3,7 +3,7 @@
 Layout (little-endian throughout):
 
     magic   4 bytes  "DGRD"
-    version u32      currently 2; version 1 is still read
+    version u32      2
     entries          repeated until 4 bytes before EOF:
         name_len u32, name UTF-8, rank u32, dims rank*u64, data f64...
     crc32   u32      of everything between the version field and the CRC
@@ -11,15 +11,10 @@ Layout (little-endian throughout):
 Entry names carry the section: "cfg.*" holds the model configuration as
 rank-0 scalars so a checkpoint is self-describing, "model.*" the parameter
 and running-statistic tensors, "opt.*" the Adam moments and step counter.
-Optimizer entries are optional (an eval-only checkpoint omits them).
-Round trips are byte-exact: float64 payloads are written bitwise and the
-entry order is fixed, so saving a loaded checkpoint reproduces the file.
-
-Version 1 also stored a conv bias b per batch-norm unit ("model.<unit>.bias"
-and its Adam moments).  Batch norm cancels such a bias in training, and in
-inference it only shifts the running mean, so a version-1 file loads with
-running_mean - b in its place and the moments dropped: its eval predictions
-are bit for bit those it gave before, and saving it writes version 2.
+Every section is required, so a resumed run always continues the saved
+Adam arithmetic.  Round trips are byte-exact: float64 payloads are written
+bitwise and the entry order is fixed, so saving a loaded checkpoint
+reproduces the file.
 """
 
 from __future__ import annotations
@@ -92,7 +87,9 @@ class _Reader:
 
 
 def _pop_count(path, entries: dict, key: str) -> int:
-    """Pop the scalar entry `key`, which must be a finite non-negative integer."""
+    """Pop the required scalar entry `key`, a finite non-negative integer."""
+    if key not in entries:
+        raise FormatError(f"{path}: missing entry {key!r}")
     v = entries.pop(key)
     if v.ndim or not (np.isfinite(v) and v >= 0 and v == np.floor(v)):
         shown = f"shape {v.shape}" if v.ndim else repr(float(v))
@@ -101,25 +98,24 @@ def _pop_count(path, entries: dict, key: str) -> int:
     return int(v)
 
 
-def save_checkpoint(m: SegModel, state: AdamState | None, path) -> None:
-    """Write model (+ optional Adam `state`) atomically."""
+def save_checkpoint(m: SegModel, state: AdamState, path) -> None:
+    """Write the model and its Adam `state` atomically."""
     parts = []
     for f in _CFG_FIELDS:
         parts.append(_pack_entry(f"cfg.{f}", float(getattr(m.cfg, f))))
     for name, arr in m.state_table().items():
         parts.append(_pack_entry(f"model.{name}", arr))
-    if state is not None:
-        parts.append(_pack_entry("opt.step", float(state.step)))
-        for name in m.param_table():
-            parts.append(_pack_entry(f"opt.m.{name}", state.m[name]))
-            parts.append(_pack_entry(f"opt.v.{name}", state.v[name]))
+    parts.append(_pack_entry("opt.step", float(state.step)))
+    for name in m.param_table():
+        parts.append(_pack_entry(f"opt.m.{name}", state.m[name]))
+        parts.append(_pack_entry(f"opt.v.{name}", state.v[name]))
     body = b"".join(parts)
     write_file(path, MAGIC, struct.pack("<I", VERSION), body,
                struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a fresh (SegModel, AdamState | None)."""
+    """Read a checkpoint back into a fresh (SegModel, AdamState)."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
@@ -127,7 +123,7 @@ def load_checkpoint(path):
         r.pos = 0
         r.fail("bad magic")
     version = r.u32()
-    if version not in (1, VERSION):
+    if version != VERSION:
         r.fail(f"unsupported version {version}")
     if len(data) < r.pos + 4:
         r.fail("missing checksum")
@@ -144,14 +140,8 @@ def load_checkpoint(path):
             r.fail(f"duplicate entry {name!r}")
         entries[name] = arr
 
-    cfg_kwargs = {}
-    for f in _CFG_FIELDS:
-        key = f"cfg.{f}"
-        if key not in entries:
-            raise FormatError(f"{path}: missing config entry {key!r}")
-        cfg_kwargs[f] = _pop_count(path, entries, key)
     try:
-        cfg = ModelConfig(**cfg_kwargs)
+        cfg = ModelConfig(**{f: _pop_count(path, entries, f"cfg.{f}") for f in _CFG_FIELDS})
     except ConfigError as exc:
         raise FormatError(f"{path}: bad model configuration: {exc}") from None
 
@@ -163,31 +153,16 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: tensor {key!r} has shape {stored.shape}, expected {shape}")
         return stored
 
-    def model_tensor(name: str, shape: tuple) -> np.ndarray:
-        arr = pop_tensor(f"model.{name}", shape, "tensor")
-        unit, _, kind = name.rpartition(".")
-        if version == 1 and kind == "running_mean":
-            arr -= pop_tensor(f"model.{unit}.bias", shape, "tensor")
-            entries.pop(f"opt.m.{unit}.bias", None)
-            entries.pop(f"opt.v.{unit}.bias", None)
-        return arr
-
     # Every stored tensor is checked against the shape the config implies
     # before it joins the model, and the model holds the file's arrays.
-    m = assemble(cfg, model_tensor)
+    m = assemble(cfg, lambda name, shape: pop_tensor(f"model.{name}", shape, "tensor"))
 
-    state = None
-    opt_keys = [k for k in entries if k.startswith("opt.")]
-    if opt_keys:
-        if "opt.step" not in entries:
-            raise FormatError(f"{path}: optimizer entries present but opt.step missing")
-        step = _pop_count(path, entries, "opt.step")
-        m_mom, v_mom = {}, {}
-        for name, arr in m.param_table().items():
-            m_mom[name] = pop_tensor(f"opt.m.{name}", arr.shape, "optimizer tensor")
-            v_mom[name] = pop_tensor(f"opt.v.{name}", arr.shape, "optimizer tensor")
-        state = AdamState(step=step, m=m_mom, v=v_mom)
+    step = _pop_count(path, entries, "opt.step")
+    m_mom, v_mom = {}, {}
+    for name, arr in m.param_table().items():
+        m_mom[name] = pop_tensor(f"opt.m.{name}", arr.shape, "optimizer tensor")
+        v_mom[name] = pop_tensor(f"opt.v.{name}", arr.shape, "optimizer tensor")
 
     if entries:
         raise FormatError(f"{path}: unrecognized entries {sorted(entries)[:3]}")
-    return m, state
+    return m, AdamState(step=step, m=m_mom, v=v_mom)

@@ -121,12 +121,16 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
 
     With `state` from a loaded checkpoint, training resumes at state.step
     and reproduces the uninterrupted run bitwise (sampler streams are
-    keyed by absolute step).  `out_dir`, when given, receives the loss
+    keyed by absolute step); a state already past cfg.steps is refused
+    before anything is written.  `out_dir`, when given, receives the loss
     curve, periodic checkpoints, and a final checkpoint.
     """
     params = m.param_table()
     if state is None:
         state = AdamState.fresh(params)
+    elif state.step > cfg.steps:
+        raise ValidationError(f"the checkpoint is at step {state.step}, past "
+                              f"train.steps={cfg.steps}")
     sampler_rng = Rng(cfg.seed).child(0)
     record = RunRecord()
     started = time.monotonic()
@@ -238,16 +242,16 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
     """Train every (loss, seed) cell and evaluate it on the shared holdout;
     `write_compare_reports` turns the rows into the study's reports."""
-    # Checked before any cell trains: a study without a cell or a holdout case
-    # has no row to report, a repeat would train one cell but count it twice,
-    # and a label outside the foreground has no DSC to average.
-    for key in ("losses", "seeds"):
-        if not getattr(cmp_cfg, key):
-            raise ValidationError(f"compare.{key} is empty: the study would train no cell")
+    # Checked before any cell trains: a study without a loss, a seed, a small
+    # label or a holdout case has no verdict to give, a repeat would train one
+    # cell but count it twice, and a label outside the foreground has no DSC
+    # to average.
     if base_cfg.holdout_cases == 0:
         raise ValidationError("train.holdout_cases is 0: the study would score no case")
     for key in ("losses", "seeds", "small_labels"):
         values = getattr(cmp_cfg, key)
+        if not values:
+            raise ValidationError(f"compare.{key} is empty: the study would give no verdict")
         if len(set(values)) != len(values):
             raise ValidationError(f"compare.{key} repeats an entry: {values}")
     for label in cmp_cfg.small_labels:

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dicegrad import checkpoint, layers, model
+from dicegrad import checkpoint, model
 from dicegrad.errors import FormatError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
@@ -35,26 +35,17 @@ def make_state(m, seed=4):
     return state
 
 
-def test_round_trip_without_optimizer(tmp_path):
-    m = make_model()
-    path = tmp_path / "model.dgrd"
-    save_checkpoint(m, None, path)
-    back, state = load_checkpoint(path)
-    assert state is None
-    assert back.cfg == m.cfg
-    orig, rest = m.state_table(), back.state_table()
-    assert set(orig) == set(rest)
-    for name in orig:
-        assert np.array_equal(orig[name], rest[name]), name
-
-
 def test_round_trip_with_optimizer(tmp_path):
     m = make_model()
     state = make_state(m)
     path = tmp_path / "opt.dgrd"
     save_checkpoint(m, state, path)
     back, st = load_checkpoint(path)
-    assert st is not None
+    assert back.cfg == m.cfg
+    orig, rest = m.state_table(), back.state_table()
+    assert set(orig) == set(rest)
+    for name in orig:
+        assert np.array_equal(orig[name], rest[name]), name
     assert st.step == 17
     for name in state.m:
         assert np.array_equal(st.m[name], state.m[name]), name
@@ -74,18 +65,21 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_header_magic_and_version(tmp_path):
     path = tmp_path / "m.dgrd"
-    save_checkpoint(make_model(), None, path)
+    m = make_model()
+    save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     assert raw[:4] == b"DGRD"
     assert struct.unpack("<I", raw[4:8])[0] == checkpoint.VERSION == 2
-    path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])     # the CRC skips the header
-    with pytest.raises(FormatError, match="unsupported version 3"):
-        load_checkpoint(path)
+    for version in (1, 3):
+        path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])   # the CRC skips the header
+        with pytest.raises(FormatError, match=f"unsupported version {version}"):
+            load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.dgrd"
-    save_checkpoint(make_model(), None, path)
+    m = make_model()
+    save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     path.write_bytes(b"WHAT" + raw[4:])
     with pytest.raises(FormatError, match="magic"):
@@ -94,7 +88,8 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_truncation_rejected(tmp_path):
     path = tmp_path / "m.dgrd"
-    save_checkpoint(make_model(), None, path)
+    m = make_model()
+    save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(FormatError):
@@ -106,7 +101,8 @@ def test_truncation_rejected(tmp_path):
 
 def test_flipped_payload_byte_fails_checksum(tmp_path):
     path = tmp_path / "m.dgrd"
-    save_checkpoint(make_model(), None, path)
+    m = make_model()
+    save_checkpoint(m, make_state(m), path)
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -118,7 +114,8 @@ def test_unknown_entry_rejected(tmp_path):
     import zlib
 
     path = tmp_path / "m.dgrd"
-    save_checkpoint(make_model(), None, path)
+    m = make_model()
+    save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     body = raw[8:-4] + checkpoint._pack_entry("mystery.thing", np.zeros(3))
     path.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
@@ -153,7 +150,7 @@ def test_loaded_model_predicts_identically(tmp_path):
 
     m = make_model(seed=9)
     path = tmp_path / "m.dgrd"
-    save_checkpoint(m, None, path)
+    save_checkpoint(m, make_state(m), path)
     back, _ = load_checkpoint(path)
     x = Rng(11).normal((2, 1, 8, 8))
     pa, _ = model_mod.forward(m, x, mode="eval")
@@ -161,11 +158,11 @@ def test_loaded_model_predicts_identically(tmp_path):
     assert np.array_equal(pa, pb)
 
 
-def _write_entries(path, entries, version=checkpoint.VERSION):
+def _write_entries(path, entries):
     import zlib
 
     body = b"".join(checkpoint._pack_entry(name, arr) for name, arr in entries)
-    path.write_bytes(b"DGRD" + struct.pack("<I", version) + body
+    path.write_bytes(b"DGRD" + struct.pack("<I", checkpoint.VERSION) + body
                      + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -177,16 +174,6 @@ def _entries(m, state):
     for n in m.param_table():
         entries += [(f"opt.m.{n}", state.m[n]), (f"opt.v.{n}", state.v[n])]
     return entries
-
-
-def _entry_names(path):
-    raw = path.read_bytes()
-    r = checkpoint._Reader(raw, path)
-    r.pos = 8
-    names = []
-    while r.pos < len(raw) - 4:
-        names.append(r.entry()[0])
-    return names
 
 
 @pytest.mark.parametrize("target, change, message", [
@@ -234,66 +221,15 @@ def test_bad_scalar_entry_rejected(tmp_path, key, value, message):
     assert str(err.value).startswith(f"{path}: ")
 
 
-def _v1_entries(m, state, biases):
-    """The version-1 layout: each unit's conv bias after its weights, in the
-    model tensors and, with nonzero moments, in the Adam state."""
-    entries = []
-    for name, arr in _entries(m, state):
-        entries.append((name, arr))
-        for prefix in ("model.", "opt.m.", "opt.v."):
-            unit = name[len(prefix):-len(".weights")]
-            if name == f"{prefix}{unit}.weights" and unit in biases:
-                b = biases[unit]
-                entries.append((f"{prefix}{unit}.bias",
-                                {"model.": b, "opt.m.": 0.1 * b, "opt.v.": b * b}[prefix]))
-    return entries
-
-
-def test_version_1_checkpoint_moves_unit_bias_into_running_mean(tmp_path, monkeypatch):
-    m = make_model(seed=5)
-    rng = Rng(6)
-    biases = {}
-    for i, (name, u) in enumerate(m.units.items()):
-        c = u.bn_gamma.shape[0]
-        u.bn_gamma = rng.child(i).child(0).normal((c,), mean=1.0, std=0.5)
-        u.bn_beta = rng.child(i).child(1).normal((c,), std=0.5)
-        biases[name] = rng.child(i).child(2).normal((c,))
-    state = make_state(m)
-    v1 = tmp_path / "v1.dgrd"
-    _write_entries(v1, _v1_entries(m, state, biases), version=1)
-    assert sum(n.endswith(".bias") for n in _entry_names(v1)) == 3 * (len(biases) + 1)
-
-    back, st = load_checkpoint(v1)
-    for name, u in back.units.items():
-        assert u.bias is None
-        want = m.units[name].bn_running_mean - biases[name]
-        assert want.tobytes() == u.bn_running_mean.tobytes()
-    assert st.step == state.step and set(st.m) == set(st.v) == set(m.param_table())
-    for n in st.m:
-        assert np.array_equal(st.m[n], state.m[n]) and np.array_equal(st.v[n], state.v[n])
-
-    # Eval probabilities are bitwise those of the version-1 fold of the
-    # stored bias, (b - running_mean)*s + beta.
-    x = Rng(7).normal((3, 1, 8, 8))
-    got, _ = model.forward(back, x, "eval")
-
-    def v1_fold(p):
-        s = p.bn_gamma * (1.0 / np.sqrt(p.bn_running_var + layers.BN_EPS))
-        return layers.LayerParams(weights=p.weights * s[:, None, None, None],
-                                  bias=(p.bias - p.bn_running_mean) * s + p.bn_beta)
-
-    for name, u in m.units.items():
-        u.bias = biases[name]
-    monkeypatch.setattr(layers, "fold_batchnorm", v1_fold)
-    want, _ = model.forward(m, x, "eval")
-    assert got.tobytes() == want.tobytes()
-
-    # Saving it writes version 2, with no unit bias or its moments.
-    v2 = tmp_path / "v2.dgrd"
-    save_checkpoint(back, st, v2)
-    assert struct.unpack("<I", v2.read_bytes()[4:8])[0] == 2
-    assert [n for n in _entry_names(v2) if n.endswith(".bias")] == [
-        "model.head.bias", "opt.m.head.bias", "opt.v.head.bias"]
+def test_model_only_file_rejected(tmp_path):
+    # Every section is required: a file without the optimizer state would
+    # resume with fresh Adam moments, so it is refused at its first opt entry.
+    m = make_model()
+    path = tmp_path / "m.dgrd"
+    _write_entries(path, [(n, a) for n, a in _entries(m, make_state(m))
+                          if not n.startswith("opt.")])
+    with pytest.raises(FormatError, match="missing entry 'opt.step'"):
+        load_checkpoint(path)
 
 
 def test_load_builds_no_random_model(tmp_path, monkeypatch):
@@ -321,7 +257,7 @@ def test_config_larger_than_tensors_rejected_before_allocating(tmp_path):
     # size exists, which would take 62 MiB.
     m = build_model(ModelConfig(num_labels=7, depth=2, base_channels=2), Rng(0))
     path = tmp_path / "m.dgrd"
-    save_checkpoint(m, None, path)
+    save_checkpoint(m, AdamState.fresh(m.param_table()), path)
     raw = bytearray(path.read_bytes())
     at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4   # past the rank
     raw[at:at + 8] = struct.pack("<d", 128.0)

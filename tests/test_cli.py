@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dicegrad import checkpoint, cli, gradcheck, model
+from dicegrad import checkpoint, cli, gradcheck, model, optim
 from dicegrad.tensor_core import Rng
 
 
@@ -202,6 +202,42 @@ def test_train_resume_config_mismatch(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_train_resume_past_configured_steps_is_config_error(tmp_path, capsys):
+    # A step-3 checkpoint resumed with train.steps=1 has nothing to train:
+    # refused before any curve, summary or checkpoint is written.
+    data = gen(tmp_path)
+    full = str(tmp_path / "full")
+    assert cli.main(["train", "--data", data, "--out", full] + TINY) == cli.EXIT_OK
+    out = tmp_path / "short"
+    rc = cli.main(["train", "--data", data, "--out", str(out),
+                   "--resume", os.path.join(full, "final.dgrd")]
+                  + TINY + ["--set", "train.steps=1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "at step 3, past train.steps=1" in capsys.readouterr().err
+    assert not {"curve.csv", "summary.json", "final.dgrd"} & set(os.listdir(out))
+
+
+def test_model_only_checkpoint_is_io_error(tmp_path, capsys):
+    # A checkpoint stripped of its optimizer entries (CRC fixed) would
+    # resume with fresh Adam moments; train and eval both refuse it.
+    data = gen(tmp_path)
+    run = str(tmp_path / "run")
+    assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
+    m, _ = checkpoint.load_checkpoint(os.path.join(run, "final.dgrd"))
+    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
+    body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
+    ckpt = tmp_path / "model_only.dgrd"
+    ckpt.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + body
+                     + struct.pack("<I", zlib.crc32(body)))
+    capsys.readouterr()
+    for argv in (["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)] + TINY,
+                 ["eval", "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]):
+        assert cli.main(argv + ["--data", data]) == cli.EXIT_IO
+        assert "missing entry 'opt.step'" in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "final.dgrd").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -306,7 +342,7 @@ def test_eval_checkpoint_config_larger_than_its_tensors_is_io_error(tmp_path, ca
     m = model.build_model(model.ModelConfig(num_labels=7, depth=1, base_channels=2,
                                             patch_size=16), Rng(0))
     ckpt = tmp_path / "base128.dgrd"
-    checkpoint.save_checkpoint(m, None, ckpt)
+    checkpoint.save_checkpoint(m, optim.AdamState.fresh(m.param_table()), ckpt)
     raw = bytearray(ckpt.read_bytes())
     at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4
     raw[at:at + 8] = struct.pack("<d", 128.0)
@@ -363,7 +399,7 @@ def test_compare_outputs_and_svg(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", ["compare.small_labels=9", "compare.seeds=0,0",
                                      "compare.losses=", "compare.seeds=",
-                                     "train.holdout_cases=0"])
+                                     "compare.small_labels=", "train.holdout_cases=0"])
 def test_compare_bad_config_is_config_error(tmp_path, capsys, setting):
     # rejected before any cell trains, so the missing dataset is never read;
     # a study with no cell or no holdout case has nothing to report

@@ -396,9 +396,10 @@ def test_run_loss_comparison_sequential_and_parallel(tmp_path):
     ("compare.small_labels", (9,)), ("compare.small_labels", (0,)),
     ("compare.small_labels", (3, 7)), ("compare.small_labels", (3, 3)),
     ("compare.losses", ("ce", "ce")), ("compare.seeds", (0, 0)),
-    ("compare.losses", ()), ("compare.seeds", ()), ("train.holdout_cases", 0),
+    ("compare.losses", ()), ("compare.seeds", ()), ("compare.small_labels", ()),
+    ("train.holdout_cases", 0),
 ], ids=["label9", "label0", "label7", "label-repeat", "loss-repeat", "seed-repeat",
-        "no-loss", "no-seed", "no-holdout"])
+        "no-loss", "no-seed", "no-small-label", "no-holdout"])
 def test_run_loss_comparison_rejects_bad_config(tmp_path, key, value):
     # Rejected before any cell trains; the dataset is never read.
     model_cfg = ModelConfig(num_labels=7, depth=1, base_channels=2, patch_size=16)
