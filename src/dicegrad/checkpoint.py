@@ -11,10 +11,11 @@ Layout (little-endian throughout):
 Entry names carry the section: "cfg.*" holds the model configuration as
 rank-0 scalars so a checkpoint is self-describing, "model.*" the parameter
 and running-statistic tensors, "opt.*" the Adam moments and step counter.
-Every section is required, so a resumed run always continues the saved
-Adam arithmetic.  Round trips are byte-exact: float64 payloads are written
-bitwise and the entry order is fixed, so saving a loaded checkpoint
-reproduces the file.
+The first entry, "cfg.in_channels", is always 1: the network reads one
+intensity channel.  Every section is required, so a resumed run always
+continues the saved Adam arithmetic.  Round trips are byte-exact: float64
+payloads are written bitwise and the entry order is fixed, so saving a
+loaded checkpoint reproduces the file.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .volume_io import write_file
 MAGIC = b"DGRD"
 VERSION = 2
 
-_CFG_FIELDS = ("in_channels", "num_labels", "depth", "base_channels", "patch_size")
+_CFG_FIELDS = ("num_labels", "depth", "base_channels", "patch_size")
 
 
 def _pack_entry(name: str, arr) -> bytes:
@@ -100,7 +101,7 @@ def _pop_count(path, entries: dict, key: str) -> int:
 
 def save_checkpoint(m: SegModel, state: AdamState, path) -> None:
     """Write the model and its Adam `state` atomically."""
-    parts = []
+    parts = [_pack_entry("cfg.in_channels", 1.0)]
     for f in _CFG_FIELDS:
         parts.append(_pack_entry(f"cfg.{f}", float(getattr(m.cfg, f))))
     for name, arr in m.state_table().items():
@@ -140,6 +141,9 @@ def load_checkpoint(path):
             r.fail(f"duplicate entry {name!r}")
         entries[name] = arr
 
+    in_channels = _pop_count(path, entries, "cfg.in_channels")
+    if in_channels != 1:
+        raise FormatError(f"{path}: entry 'cfg.in_channels' must be 1, got {in_channels}")
     try:
         cfg = ModelConfig(**{f: _pop_count(path, entries, f"cfg.{f}") for f in _CFG_FIELDS})
     except ConfigError as exc:

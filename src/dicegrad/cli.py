@@ -4,9 +4,9 @@ evaluation, and the four-loss comparison.
 Exit codes: 0 success, 1 failed numeric checks, 2 configuration problems,
 3 I/O problems, 4 numeric aborts during training.
 
-DICEGRAD_THREADS caps worker parallelism for the comparison command
-(default 1, which keeps every output bitwise reproducible); a value that
-is not a positive integer is a configuration error.
+DICEGRAD_THREADS is the number of worker processes the comparison command
+runs its cells in (default 1); the outputs are bitwise the same at any
+count.  A value that is not a positive integer is a configuration error.
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def _workers() -> int:
     if workers < 1:
         raise ConfigError(f"DICEGRAD_THREADS must be a positive integer, got {raw!r}")
     return workers
+
+
+def _load_checkpoint(path, model_cfg: model_mod.ModelConfig):
+    """The (model, Adam state) saved at `path`, refused unless its model
+    config is the configured one, so the echoed config describes it."""
+    m, state = checkpoint.load_checkpoint(path)
+    if m.cfg != model_cfg:
+        raise ValidationError(f"checkpoint model config {m.cfg} != configured {model_cfg}")
+    return m, state
 
 
 def cmd_gen_data(args, cfg: dict) -> int:
@@ -115,11 +124,7 @@ def cmd_train(args, cfg: dict) -> int:
     train_ds, holdout = training.load_split(args.data, train_cfg.holdout_cases,
                                             model_cfg.num_labels)
     if args.resume:
-        m, state = checkpoint.load_checkpoint(args.resume)
-        if m.cfg != model_cfg:
-            raise ValidationError(
-                f"checkpoint model config {m.cfg} != configured {model_cfg}"
-            )
+        m, state = _load_checkpoint(args.resume, model_cfg)
     else:
         m = model_mod.build_model(model_cfg, Rng(train_cfg.seed).child(1))
         state = None
@@ -142,8 +147,7 @@ def cmd_eval(args, cfg: dict) -> int:
     else:
         if args.checkpoint is None:
             raise ConfigError("eval requires --checkpoint (or eval.oracle_self_test=true)")
-        m, _ = checkpoint.load_checkpoint(args.checkpoint)
-        num_labels = m.cfg.num_labels
+        m, _ = _load_checkpoint(args.checkpoint, config.model_config(cfg))
 
     refs = volume_io.read_manifest(args.data)
     cases = ((ref.case_id, volume_io.load_case(args.data, ref)) for ref in refs)
@@ -220,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--data", help="dataset directory (with manifest.csv)")
+        if "data" in dirs:
+            p.add_argument("--data", help="dataset directory (with manifest.csv)")
         if name == "train":
             p.add_argument("--resume", help="checkpoint to resume from")
         if name == "eval":

@@ -48,27 +48,19 @@ _PARSERS = {
     "tuple[str, ...]": _parse_str_list,
 }
 
-# Key prefix -> (dataclass, the fields that are keys; None for every field
-# with a parser).  sampler.patch_size is not a key: the sampler takes
+# Key prefix -> the dataclass whose defaulted fields are its keys.
+# sampler.patch_size has no default and is not a key: the sampler takes
 # model.patch_size.
-_SECTIONS = {
-    "model": (ModelConfig, None),
-    "loss": (LossConfig, None),
-    "sampler": (SamplerConfig, ("batch_size", "center_jitter_px", "augment", "flip_prob",
-                                "max_translation_px", "elastic_sigma", "elastic_alpha")),
-    "phantom": (PhantomSpec, None),
-    "train": (TrainConfig, None),
-    "compare": (CompareConfig, None),
-}
+_SECTIONS = {"model": ModelConfig, "loss": LossConfig, "sampler": SamplerConfig,
+             "phantom": PhantomSpec, "train": TrainConfig, "compare": CompareConfig}
 
 # key -> (parser, default).  Keys backed by a dataclass field take both from
 # the field; the rest have no field default to take them from.
 SCHEMA: dict = {
     **{f"{section}.{f.name}": (_PARSERS[f.type], f.default)
-       for section, (cls, names) in _SECTIONS.items()
+       for section, cls in _SECTIONS.items()
        for f in fields(cls)
-       if f.type in _PARSERS and f.default is not MISSING
-       and (names is None or f.name in names)},
+       if f.type in _PARSERS and f.default is not MISSING},
     "model.num_labels": (int, NUM_LABELS),
     **{f"phantom.spacing_{axis}": (float, mm)
        for axis, mm in zip("zyx", PhantomSpec.spacing_mm)},

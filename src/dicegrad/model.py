@@ -35,7 +35,6 @@ _STATS = ("bn_running_mean", "bn_running_var")
 @dataclass
 class ModelConfig:
     num_labels: int
-    in_channels: int = 1
     depth: int = 2
     base_channels: int = 16
     patch_size: int = 64
@@ -50,8 +49,8 @@ class ModelConfig:
         if self.patch_size < 1 or self.patch_size >> self.depth << self.depth != self.patch_size:
             raise ConfigError(f"patch_size {self.patch_size} is not a positive multiple "
                               f"of 2^depth (depth {self.depth})")
-        if self.in_channels < 1 or self.base_channels < 1:
-            raise ConfigError("in_channels and base_channels must be >= 1")
+        if self.base_channels < 1:
+            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
 
 
 @dataclass
@@ -77,10 +76,11 @@ class SegModel:
 
 def _unit_channels(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """(in_ch, out_ch) per unit, walking the topology in forward execution
-    order: encoder stages, bottleneck, decoder stages."""
+    order: encoder stages, bottleneck, decoder stages.  The input is one
+    intensity channel."""
     base, depth = cfg.base_channels, cfg.depth
     ch = {}
-    prev = cfg.in_channels
+    prev = 1
     for d in range(depth):
         out = base << d
         ch[f"enc{d}.u0"] = (prev, out)
@@ -173,7 +173,7 @@ def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
 
 
 def forward(m: SegModel, x: np.ndarray, mode: str):
-    """Run the network on a batch [I, in_channels, P, P] in mode "train" or "eval".
+    """Run the network on a batch [I, 1, P, P] in mode "train" or "eval".
 
     Returns (probabilities [I, L, P, P], tape); the tape, the (kind, key,
     cache) entries in execution order, is None in eval mode and must be
@@ -189,10 +189,8 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = m.cfg
     p_sz = cfg.patch_size
-    if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2:] != (p_sz, p_sz):
-        raise SizeError(
-            f"expected input [I, {cfg.in_channels}, {p_sz}, {p_sz}], got {x.shape}"
-        )
+    if x.ndim != 4 or x.shape[1:] != (1, p_sz, p_sz):
+        raise SizeError(f"expected input [I, 1, {p_sz}, {p_sz}], got {x.shape}")
     train = mode == "train"
     tape = [] if train else None
     record = tape.append if train else (lambda entry: None)

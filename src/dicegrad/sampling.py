@@ -35,10 +35,9 @@ from .volume_io import LabeledVolume
 
 @dataclass
 class SamplerConfig:
-    patch_size: int = 64
+    patch_size: int
     batch_size: int = 8
     center_jitter_px: int = 16
-    augment: bool = True
     flip_prob: float = 0.5
     max_translation_px: int = 8
     elastic_sigma: float = 6.0
@@ -158,7 +157,9 @@ def _elastic(img, lab, rng: Rng, sigma: float, alpha: float):
 
 
 def augment(img: np.ndarray, lab: np.ndarray, rng: Rng, cfg: SamplerConfig):
-    """Flip / translate / elastically deform one aligned image and label map."""
+    """Flip / translate / elastically deform one aligned image and label map;
+    a step whose setting (flip_prob, max_translation_px, elastic_alpha) is 0
+    is skipped."""
     if cfg.flip_prob > 0 and rng.child(0).random() < cfg.flip_prob:
         img, lab = _flip(img, lab)
     if cfg.max_translation_px > 0:
@@ -192,8 +193,7 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
         y0 = _crop_origin(cy + jy, cfg.patch_size, height)
         x0 = _crop_origin(cx + jx, cfg.patch_size, width)
         img, lab = _extract_patch(vol, z, y0, x0, cfg.patch_size)
-        if cfg.augment:
-            img, lab = augment(img, lab, prng.child(2), cfg)
+        img, lab = augment(img, lab, prng.child(2), cfg)
         images[slot, 0] = img
         labels[slot] = lab
         provenance.append(PatchProvenance(ci, case_id, z, (y0, x0), label, g))

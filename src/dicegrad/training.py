@@ -18,8 +18,6 @@ per-image soft Dice on the smallest structures.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import functools
 import json
 import os
 import time
@@ -49,7 +47,7 @@ class TrainConfig:
     eval_every: int = 0                # 0: no evaluation during training
     holdout_cases: int = 5
     loss: LossConfig = field(default_factory=LossConfig)
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    sampler: SamplerConfig = field(kw_only=True)   # no default: built with model.patch_size
 
     def __post_init__(self):
         if not (0 < self.learning_rate < np.inf and 0 < self.adam_eps < np.inf):
@@ -61,6 +59,9 @@ class TrainConfig:
             raise ValidationError("steps and holdout_cases must be >= 0")
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ValidationError("checkpoint_every and eval_every must be >= 0")
+        if self.eval_every and not self.holdout_cases:
+            raise ValidationError(f"eval_every={self.eval_every} evaluates on held-out "
+                                  f"cases, but holdout_cases is 0")
 
 
 @dataclass
@@ -240,7 +241,8 @@ def _run_cell(data_dir, model_cfg: model_mod.ModelConfig, cell_cfg: TrainConfig,
 def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         base_cfg: TrainConfig, cmp_cfg: CompareConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
-    """Train every (loss, seed) cell and evaluate it on the shared holdout;
+    """Train every (loss, seed) cell and evaluate it on the shared holdout,
+    each cell in a worker process, `max_workers` at a time;
     `write_compare_reports` turns the rows into the study's reports."""
     # Checked before any cell trains: a study without a loss, a seed, a small
     # label or a holdout case has no verdict to give, a repeat would train one
@@ -268,16 +270,11 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
 
     results: list[CaseResult] = []
     failed: list[tuple[str, int, str]] = []
-    with contextlib.ExitStack() as stack:
-        if max_workers > 1:     # every cell is submitted before the first is collected
-            pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=max_workers))
-            cells = {key: pool.submit(_run_cell, *args).result for key, args in jobs.items()}
-        else:                   # each cell runs here, when it is collected
-            cells = {key: functools.partial(_run_cell, *args) for key, args in jobs.items()}
-        for (kind, seed), run_cell in cells.items():
+    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+        cells = {key: pool.submit(_run_cell, *args) for key, args in jobs.items()}
+        for (kind, seed), cell in cells.items():
             try:
-                results.extend(run_cell())
+                results.extend(cell.result())
             except Exception as exc:       # a failed cell must not sink the rest
                 failed.append((kind, seed, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: (r.loss_kind, r.seed, r.case_id, r.label))

@@ -129,7 +129,7 @@ def test_missing_tensor_rejected(tmp_path):
     m = make_model()
     path = tmp_path / "m.dgrd"
     # rebuild the file body without one model tensor
-    parts = []
+    parts = [checkpoint._pack_entry("cfg.in_channels", 1.0)]
     for f in checkpoint._CFG_FIELDS:
         parts.append(checkpoint._pack_entry(f"cfg.{f}", float(getattr(m.cfg, f))))
     dropped = None
@@ -168,7 +168,8 @@ def _write_entries(path, entries):
 
 def _entries(m, state):
     """(name, value) pairs in the order save_checkpoint writes them."""
-    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries = [("cfg.in_channels", 1.0)]
+    entries += [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
     entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
     entries.append(("opt.step", float(state.step)))
     for n in m.param_table():
@@ -209,6 +210,7 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     ("cfg.depth", 2.0 ** 20, r"bad model configuration: .* \(depth 1048576\)"),
     ("opt.step", -1.0, "'opt.step' must be .*, got -1.0"),
     ("opt.step", 2.5, "'opt.step' must be .*, got 2.5"),
+    ("cfg.in_channels", 2.0, "'cfg.in_channels' must be 1, got 2"),
 ])
 def test_bad_scalar_entry_rejected(tmp_path, key, value, message):
     # CRC-valid files whose config or step scalar is not a count.

@@ -67,6 +67,24 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["sampler.augment=false", "model.in_channels=1"])
+def test_deleted_config_keys_are_unknown(tmp_path, capsys, setting):
+    # Zero flip_prob, max_translation_px and elastic_alpha turn augmentation
+    # off, and the network always reads one intensity channel.
+    rc = cli.main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"),
+                   "--set", setting])
+    assert rc == cli.EXIT_CONFIG
+    assert f"unknown key {setting.split('=')[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "gradcheck"])
+def test_data_option_only_where_read(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path / "x"), "--data", str(tmp_path / "nope")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck (check functions stubbed; the real run is acceptance-tested)
 # ---------------------------------------------------------------------------
@@ -192,6 +210,16 @@ def test_train_resume_matches_uninterrupted(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_train_eval_every_without_holdout_is_config_error(tmp_path, capsys):
+    # Checked before the (missing) dataset is read; nothing is written.
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--data", str(tmp_path / "nope"), "--out", str(out)] + TINY
+                  + ["--set", "train.holdout_cases=0", "--set", "train.eval_every=1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "holdout_cases is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_resume_config_mismatch(tmp_path):
     data = gen(tmp_path)
     full = str(tmp_path / "full")
@@ -224,7 +252,8 @@ def test_model_only_checkpoint_is_io_error(tmp_path, capsys):
     run = str(tmp_path / "run")
     assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
     m, _ = checkpoint.load_checkpoint(os.path.join(run, "final.dgrd"))
-    entries = [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries = [("cfg.in_channels", 1.0)]
+    entries += [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
     entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
     body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
     ckpt = tmp_path / "model_only.dgrd"
@@ -277,8 +306,11 @@ def test_eval_with_checkpoint(tmp_path):
     assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
     out = str(tmp_path / "eval")
     rc = cli.main(["eval", "--data", data, "--out", out,
-                   "--checkpoint", os.path.join(run, "final.dgrd")])
+                   "--checkpoint", os.path.join(run, "final.dgrd")] + TINY)
     assert rc == cli.EXIT_OK
+    # the echo describes the evaluated model
+    echo = open(os.path.join(out, "effective_config.cfg")).read().splitlines()
+    assert "model.base_channels = 2" in echo
     rows = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert len(rows) == 1 + 3 * 6
     pred_empty = dict.fromkeys(range(1, 7), 0)
@@ -302,10 +334,25 @@ def test_eval_counts_empty_predictions(tmp_path, capsys):
     checkpoint.save_checkpoint(m, state, ckpt)
     out = str(tmp_path / "eval")
     assert cli.main(["eval", "--data", data, "--out", out,
-                     "--checkpoint", ckpt]) == cli.EXIT_OK
+                     "--checkpoint", ckpt] + TINY) == cli.EXIT_OK
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert [r.split(",")[-2:] for r in summary[1:]] == [["3", "3"]] * 6
     assert capsys.readouterr().out.count("3 flagged, 3 predicted empty") == 6
+
+
+def test_eval_checkpoint_config_mismatch_is_config_error(tmp_path, capsys):
+    # A base_channels=2 checkpoint evaluated under the default model config:
+    # refused before any file is written, so no echo can misdescribe it.
+    data = gen(tmp_path)
+    run = str(tmp_path / "run")
+    assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    rc = cli.main(["eval", "--data", data, "--out", str(out),
+                   "--checkpoint", os.path.join(run, "final.dgrd")])
+    assert rc == cli.EXIT_CONFIG
+    assert "!= configured" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
@@ -323,8 +370,9 @@ def test_eval_malformed_checkpoint_scalar_is_io_error(tmp_path, capsys):
     data = gen(tmp_path)
     m = model.build_model(model.ModelConfig(num_labels=7, depth=1, base_channels=2,
                                             patch_size=16), Rng(0))
-    entries = [(f"cfg.{f}", np.nan if f == "depth" else float(getattr(m.cfg, f)))
-               for f in checkpoint._CFG_FIELDS]
+    entries = [("cfg.in_channels", 1.0)]
+    entries += [(f"cfg.{f}", np.nan if f == "depth" else float(getattr(m.cfg, f)))
+                for f in checkpoint._CFG_FIELDS]
     entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
     body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
     ckpt = tmp_path / "nan_depth.dgrd"

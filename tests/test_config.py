@@ -52,9 +52,10 @@ def test_parse_errors():
 def test_bool_spellings():
     for raw, want in [("true", True), ("Yes", True), ("1", True), ("on", True),
                       ("false", False), ("No", False), ("0", False), ("off", False)]:
-        assert config.resolve(None, [f"sampler.augment={raw}"])["sampler.augment"] is want
+        cfg = config.resolve(None, [f"loss.include_background={raw}"])
+        assert cfg["loss.include_background"] is want
     with pytest.raises(ConfigError):
-        config.resolve(None, ["sampler.augment=maybe"])
+        config.resolve(None, ["loss.include_background=maybe"])
 
 
 def test_list_values():
@@ -65,7 +66,7 @@ def test_list_values():
 
 def test_render_round_trips():
     cfg = config.resolve(None, ["train.learning_rate=3e-4", "loss.kind=sd",
-                                "sampler.augment=false", "compare.seeds=7,8,9"])
+                                "loss.include_background=false", "compare.seeds=7,8,9"])
     text = config.render(cfg)
     again = config.resolve(text)
     assert again == cfg

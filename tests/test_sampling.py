@@ -59,7 +59,8 @@ def test_target_label_visible_in_patch(dataset):
     # centroid-anchored crops contain their designated label whenever the
     # patch spans the structure's extent about its centroid (48 px covers
     # every default structure, including the ring arcs of the jaw analog)
-    cfg = small_cfg(patch_size=48, augment=False, center_jitter_px=0)
+    cfg = small_cfg(patch_size=48, center_jitter_px=0, flip_prob=0.0,
+                    max_translation_px=0, elastic_alpha=0.0)     # no augmentation
     batch = sample_balanced_batch(dataset, cfg, Rng(3))
     for slot, p in enumerate(batch.provenance):
         assert batch.onehot[slot, p.target_label].sum() > 0, p
@@ -126,14 +127,14 @@ def test_sampler_config_validation():
     with pytest.raises(ValidationError):
         SamplerConfig(patch_size=2)
     with pytest.raises(ValidationError):
-        SamplerConfig(batch_size=0)
+        SamplerConfig(patch_size=64, batch_size=0)
     with pytest.raises(ValidationError):
-        SamplerConfig(flip_prob=1.5)
+        SamplerConfig(patch_size=64, flip_prob=1.5)
     for name in ("center_jitter_px", "max_translation_px", "elastic_sigma", "elastic_alpha"):
         with pytest.raises(ValidationError, match=name):
-            SamplerConfig(**{name: -1})
+            SamplerConfig(patch_size=64, **{name: -1})
     with pytest.raises(ValidationError, match="elastic_alpha"):
-        SamplerConfig(elastic_alpha=float("nan"))
+        SamplerConfig(patch_size=64, elastic_alpha=float("nan"))
     SamplerConfig(patch_size=16, max_translation_px=15)
     with pytest.raises(ValidationError, match="max_translation_px must be < patch_size"):
         SamplerConfig(patch_size=16, max_translation_px=16)
@@ -228,7 +229,7 @@ def test_elastic_bitwise_equals_per_channel_reference():
 def test_elastic_bitwise_equals_two_filter_calls_at_default_config():
     # One gaussian_filter over both fields (sigma 0 across them) against the
     # reference's one call per field, at the default configuration.
-    cfg = SamplerConfig()
+    cfg = SamplerConfig(patch_size=64)
     shape = (cfg.patch_size, cfg.patch_size)
     for seed in range(3):
         rng = Rng(950 + seed)
@@ -266,7 +267,8 @@ def onehot_stack_augment(img, onehot, rng, cfg):
     return img, onehot
 
 
-@pytest.mark.parametrize("cfg", [small_cfg(), SamplerConfig()], ids=["32px", "study"])
+@pytest.mark.parametrize("cfg", [small_cfg(), SamplerConfig(patch_size=64)],
+                         ids=["32px", "study"])
 def test_batch_bitwise_equals_onehot_stack_reference(dataset, cfg):
     # Each slot's crop, re-augmented as a one-hot stack on the slot's own
     # stream, must give the batch's image and one-hot bytes.

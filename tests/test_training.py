@@ -147,6 +147,8 @@ def test_train_config_validation():
         fast_cfg(checkpoint_every=-5)
     with pytest.raises(ValidationError):
         fast_cfg(eval_every=-5)
+    with pytest.raises(ValidationError, match="holdout_cases is 0"):
+        fast_cfg(eval_every=1, holdout_cases=0)
 
 
 # ---------------------------------------------------------------------------
