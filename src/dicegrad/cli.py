@@ -4,9 +4,10 @@ evaluation, and the four-loss comparison.
 Exit codes: 0 success, 1 failed numeric checks, 2 configuration problems,
 3 I/O problems, 4 numeric aborts during training.
 
-DICEGRAD_THREADS is the number of worker processes the comparison command
-runs its cells in (default 1); the outputs are bitwise the same at any
-count.  A value that is not a positive integer is a configuration error.
+DICEGRAD_THREADS caps the number of worker processes the comparison command
+runs its cells in (default 1; never more workers than cells); the outputs
+are bitwise the same at any count.  A value that is not a positive integer
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -223,25 +224,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", required="out" in dirs, help="output directory")
         if "data" in dirs:
-            p.add_argument("--data", help="dataset directory (with manifest.csv)")
+            p.add_argument("--data", required=True,
+                           help="dataset directory (with manifest.csv)")
         if name == "train":
             p.add_argument("--resume", help="checkpoint to resume from")
         if name == "eval":
             p.add_argument("--checkpoint", help="checkpoint to evaluate")
-        p.set_defaults(fn=fn, dirs=dirs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_cfg(args)
-        if any(getattr(args, d) is None for d in args.dirs):
-            raise ConfigError(f"{args.command} requires "
-                              + " and ".join(f"--{d} DIR" for d in args.dirs))
-        return args.fn(args, cfg)
+        return args.fn(args, _load_cfg(args))
     except (FormatError, OSError) as exc:       # IoError is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

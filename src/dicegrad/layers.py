@@ -16,7 +16,6 @@ from .errors import SizeError
 
 # 3x3 kernels with zero padding of 1 keep the spatial size, which the
 # concatenation skip connections rely on.
-KERNEL = 3
 PAD = 1
 
 # Batch-norm epsilon: added to the variance under the inverse square root.

@@ -22,7 +22,7 @@ never on worker scheduling or on how many batches came before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -58,25 +58,16 @@ class SamplerConfig:
 
 
 @dataclass
-class PatchProvenance:
-    case_index: int
-    case_id: str
-    slice_index: int
-    crop_offset: tuple[int, int]
-    target_label: int
-    patch_index: int          # global index; also the augmentation stream key
-
-
-@dataclass
 class MiniBatch:
+    """One balanced batch: images and the one-hot label maps."""
     images: np.ndarray        # [I, 1, P, P]
     onehot: np.ndarray        # [I, L, P, P]
-    provenance: list[PatchProvenance] = field(default_factory=list)
 
 
 class PatchDataset:
-    """In-memory volumes plus a per-label index of the axial slices (and
-    in-slice centroids) where each foreground label occurs."""
+    """In-memory volumes plus one index: `slices[label]` lists, for every
+    axial slice that holds the foreground label, `(case_index, z, cy, cx)`
+    with (cy, cx) the label's in-slice centroid."""
 
     def __init__(self, cases: list[tuple[str, LabeledVolume]], num_labels: int):
         if not cases:
@@ -86,9 +77,8 @@ class PatchDataset:
         self.cases = cases
         self.num_labels = num_labels
         self.foreground = tuple(range(1, num_labels))
-        # label -> list of (case_index, z); centroids (cy, cx) stored alongside
-        self.slices: dict[int, list[tuple[int, int]]] = {l: [] for l in self.foreground}
-        self.centroids: dict[tuple[int, int, int], tuple[float, float]] = {}
+        self.slices: dict[int, list[tuple[int, int, float, float]]] = {
+            l: [] for l in self.foreground}
         for ci, (_, vol) in enumerate(cases):
             if vol.labels.max(initial=0) >= num_labels:
                 raise ValidationError(
@@ -99,8 +89,7 @@ class PatchDataset:
                 for label in self.foreground:
                     ys, xs = np.nonzero(sl == label)
                     if ys.size:
-                        self.slices[label].append((ci, z))
-                        self.centroids[(ci, z, label)] = (float(ys.mean()), float(xs.mean()))
+                        self.slices[label].append((ci, z, float(ys.mean()), float(xs.mean())))
         for label in self.foreground:
             if not self.slices[label]:
                 raise SamplingError(
@@ -178,15 +167,13 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
     fg = dataset.foreground
     images = np.empty((cfg.batch_size, 1, cfg.patch_size, cfg.patch_size))
     labels = np.empty((cfg.batch_size, cfg.patch_size, cfg.patch_size), dtype=np.int64)
-    provenance = []
     for slot in range(cfg.batch_size):
         g = start_index + slot
         label = fg[g % len(fg)]
         prng = rng.child(g)
         entries = dataset.slices[label]
-        ci, z = entries[int(prng.child(0).integers(0, len(entries), ()))]
-        case_id, vol = dataset.cases[ci]
-        cy, cx = dataset.centroids[(ci, z, label)]
+        ci, z, cy, cx = entries[int(prng.child(0).integers(0, len(entries), ()))]
+        vol = dataset.cases[ci][1]
         j = cfg.center_jitter_px
         jy, jx = prng.child(1).uniform((2,), -j, j) if j > 0 else (0.0, 0.0)
         height, width = vol.labels.shape[1:]
@@ -196,5 +183,4 @@ def sample_balanced_batch(dataset: PatchDataset, cfg: SamplerConfig, rng: Rng,
         img, lab = augment(img, lab, prng.child(2), cfg)
         images[slot, 0] = img
         labels[slot] = lab
-        provenance.append(PatchProvenance(ci, case_id, z, (y0, x0), label, g))
-    return MiniBatch(images, one_hot(labels, dataset.num_labels), provenance)
+    return MiniBatch(images, one_hot(labels, dataset.num_labels))

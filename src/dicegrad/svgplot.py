@@ -42,8 +42,7 @@ def _line(parent, x1, y1, x2, y2, width=1.0, color="#222"):
     })
 
 
-def box_plot(path, groups: dict[str, list[float]], title: str = "",
-             y_label: str = "") -> None:
+def box_plot(path, groups: dict[str, list[float]], title: str, y_label: str) -> None:
     """Write one SVG with a box-and-whisker group per dict entry, on a
     value axis from 0 to 1 (values outside are drawn at its ends)."""
     if not groups:
@@ -66,8 +65,7 @@ def box_plot(path, groups: dict[str, list[float]], title: str = "",
     ET.SubElement(svg, "rect", {
         "x": "0", "y": "0", "width": str(_W), "height": str(_H), "fill": "white",
     })
-    if title:
-        _text(svg, _W / 2, 20, title, size=14)
+    _text(svg, _W / 2, 20, title, size=14)
 
     axes = ET.SubElement(svg, "g", {"class": "axes"})
     _line(axes, _MARGIN_L, _MARGIN_T, _MARGIN_L, _MARGIN_T + plot_h)
@@ -77,9 +75,8 @@ def box_plot(path, groups: dict[str, list[float]], title: str = "",
         y = ypix(v)
         _line(axes, _MARGIN_L - 4, y, _MARGIN_L, y)
         _text(axes, _MARGIN_L - 8, y + 4, f"{v:g}", size=11, anchor="end")
-    if y_label:
-        el = _text(svg, 14, _MARGIN_T + plot_h / 2, y_label, size=12)
-        el.set("transform", f"rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})")
+    el = _text(svg, 14, _MARGIN_T + plot_h / 2, y_label, size=12)
+    el.set("transform", f"rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})")
 
     n = len(groups)
     slot_w = plot_w / n

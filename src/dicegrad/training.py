@@ -242,7 +242,7 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
                         base_cfg: TrainConfig, cmp_cfg: CompareConfig,
                         out_dir, max_workers: int = 1) -> CompareReport:
     """Train every (loss, seed) cell and evaluate it on the shared holdout,
-    each cell in a worker process, `max_workers` at a time;
+    each cell in a worker process, at most `max_workers` at a time;
     `write_compare_reports` turns the rows into the study's reports."""
     # Checked before any cell trains: a study without a loss, a seed, a small
     # label or a holdout case has no verdict to give, a repeat would train one
@@ -270,7 +270,9 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
 
     results: list[CaseResult] = []
     failed: list[tuple[str, int, str]] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+    # The pool forks all its workers at the first submit, so more workers
+    # than cells would only idle.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         cells = {key: pool.submit(_run_cell, *args) for key, args in jobs.items()}
         for (kind, seed), cell in cells.items():
             try:

@@ -57,8 +57,12 @@ def test_gen_data_regeneration_is_byte_identical(tmp_path):
             assert fa.read() == fb.read(), name
 
 
-def test_gen_data_requires_out():
-    assert cli.main(["gen-data"]) == cli.EXIT_CONFIG
+def test_gen_data_requires_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_is_config_error(tmp_path):
@@ -162,8 +166,13 @@ def test_train_missing_dataset_is_io_error(tmp_path):
     assert rc == cli.EXIT_IO
 
 
-def test_train_requires_dirs():
-    assert cli.main(["train"] + TINY) == cli.EXIT_CONFIG
+def test_train_requires_dirs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for given in ([], ["--data", "data"], ["--out", "out"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train"] + given + TINY)
+        assert exc.value.code == 2, given
+        assert list(tmp_path.iterdir()) == [], given
 
 
 def test_train_bad_adam_eps_is_config_error(tmp_path):

@@ -21,6 +21,27 @@ def dataset():
     return PatchDataset(cases, num_labels=7)
 
 
+@pytest.fixture
+def crops(dataset, monkeypatch):
+    """Every crop the sampler takes, in order, as (case_index, z, y0, x0);
+    the case index is found by identity in `dataset.cases`."""
+    seen = []
+    extract = sampling._extract_patch
+
+    def recording(vol, z, y0, x0, patch):
+        ci = next(i for i, (_, v) in enumerate(dataset.cases) if v is vol)
+        seen.append((ci, z, y0, x0))
+        return extract(vol, z, y0, x0, patch)
+
+    monkeypatch.setattr(sampling, "_extract_patch", recording)
+    return seen
+
+
+def target(dataset, g):
+    """The label designated for global patch index `g` (round-robin)."""
+    return dataset.foreground[g % len(dataset.foreground)]
+
+
 def small_cfg(**kw):
     defaults = dict(patch_size=32, batch_size=8, center_jitter_px=8,
                     elastic_sigma=4.0, elastic_alpha=2.0)
@@ -47,12 +68,15 @@ def test_batch_shapes_and_onehot(dataset):
     assert (batch.onehot.sum(axis=1) == 1.0).all()
 
 
-def test_round_robin_pigeonhole(dataset):
-    # batch of 8 over 6 foreground labels: every label targeted at least once
-    batch = sample_balanced_batch(dataset, small_cfg(), Rng(2))
-    targets = [p.target_label for p in batch.provenance]
+def test_round_robin_pigeonhole(dataset, crops):
+    # batch of 8 over 6 foreground labels: every label targeted at least
+    # once, each from a slice that holds it
+    sample_balanced_batch(dataset, small_cfg(), Rng(2))
+    targets = [target(dataset, g) for g in range(len(crops))]
     assert set(targets) >= {1, 2, 3, 4, 5, 6}
     assert targets[:6] == [1, 2, 3, 4, 5, 6]
+    for (ci, z, _, _), label in zip(crops, targets):
+        assert (dataset.cases[ci][1].labels[z] == label).any(), (ci, z, label)
 
 
 def test_target_label_visible_in_patch(dataset):
@@ -62,8 +86,8 @@ def test_target_label_visible_in_patch(dataset):
     cfg = small_cfg(patch_size=48, center_jitter_px=0, flip_prob=0.0,
                     max_translation_px=0, elastic_alpha=0.0)     # no augmentation
     batch = sample_balanced_batch(dataset, cfg, Rng(3))
-    for slot, p in enumerate(batch.provenance):
-        assert batch.onehot[slot, p.target_label].sum() > 0, p
+    for slot in range(cfg.batch_size):
+        assert batch.onehot[slot, target(dataset, slot)].sum() > 0, slot
 
 
 def test_determinism_and_stream_independence(dataset):
@@ -72,7 +96,6 @@ def test_determinism_and_stream_independence(dataset):
     b = sample_balanced_batch(dataset, cfg, Rng(7), start_index=40)
     assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.onehot, b.onehot)
-    assert a.provenance == b.provenance
     c = sample_balanced_batch(dataset, cfg, Rng(7), start_index=48)
     assert not np.array_equal(a.images, c.images)
 
@@ -88,17 +111,21 @@ def test_batches_depend_only_on_start_index(dataset):
     assert np.array_equal(full.onehot[4:], back.onehot)
 
 
-def test_presence_counts_over_100_batches(dataset):
-    # counting oracle over provenance: round-robin dealing keeps per-label
-    # designation counts within one of the ideal I*B/(L-1)
+def test_presence_counts_over_100_batches(dataset, crops):
+    # counting oracle over the recorded crops: round-robin dealing keeps
+    # per-label designation counts within one of the ideal I*B/(L-1), and
+    # every slot's slice holds its designated label
     cfg = small_cfg()
     rng = Rng(11)
-    counts = {lab: 0 for lab in dataset.foreground}
     for step in range(100):
-        batch = sample_balanced_batch(dataset, cfg, rng,
-                                      start_index=step * cfg.batch_size)
-        for p in batch.provenance:
-            counts[p.target_label] += 1
+        sample_balanced_batch(dataset, cfg, rng, start_index=step * cfg.batch_size)
+    assert len(crops) == 100 * cfg.batch_size
+    counts = {lab: 0 for lab in dataset.foreground}
+    for g, (ci, z, _, _) in enumerate(crops):
+        label = target(dataset, g)
+        assert (dataset.cases[ci][1].labels[z] == label).any(), (g, ci, z, label)
+        counts[label] += 1
+    assert [target(dataset, g) for g in range(6)] == [1, 2, 3, 4, 5, 6]
     ideal = 8 * 100 / 6.0
     for lab, n in counts.items():
         assert abs(n - ideal) <= 1.0, (lab, n)
@@ -269,24 +296,26 @@ def onehot_stack_augment(img, onehot, rng, cfg):
 
 @pytest.mark.parametrize("cfg", [small_cfg(), SamplerConfig(patch_size=64)],
                          ids=["32px", "study"])
-def test_batch_bitwise_equals_onehot_stack_reference(dataset, cfg):
+def test_batch_bitwise_equals_onehot_stack_reference(dataset, crops, cfg):
     # Each slot's crop, re-augmented as a one-hot stack on the slot's own
     # stream, must give the batch's image and one-hot bytes.
     rng = Rng(21)
     patch = cfg.patch_size
     for step in range(5):
-        batch = sample_balanced_batch(dataset, cfg, rng, start_index=step * cfg.batch_size)
-        for slot, prov in enumerate(batch.provenance):
-            vol = dataset.cases[prov.case_index][1]
-            y0, x0 = prov.crop_offset
-            crop = np.s_[prov.slice_index, y0:y0 + patch, x0:x0 + patch]
+        start = step * cfg.batch_size
+        batch = sample_balanced_batch(dataset, cfg, rng, start_index=start)
+        assert len(crops) == start + cfg.batch_size
+        for slot in range(cfg.batch_size):
+            ci, z, y0, x0 = crops[start + slot]
+            vol = dataset.cases[ci][1]
+            crop = np.s_[z, y0:y0 + patch, x0:x0 + patch]
             img, lab = np.zeros((patch, patch)), np.zeros((patch, patch), dtype=np.int64)
             h, w = vol.labels[crop].shape
             img[:h, :w], lab[:h, :w] = vol.intensities[crop], vol.labels[crop]
             onehot = np.zeros((dataset.num_labels, patch, patch))
             np.put_along_axis(onehot, lab[None], 1.0, axis=0)
             want_img, want_hot = onehot_stack_augment(
-                img, onehot, rng.child(prov.patch_index).child(2), cfg)
+                img, onehot, rng.child(start + slot).child(2), cfg)
             assert batch.images[slot, 0].tobytes() == want_img.tobytes(), (step, slot)
             assert batch.onehot.dtype == want_hot.dtype
             assert batch.onehot[slot].tobytes() == want_hot.tobytes(), (step, slot)

@@ -15,9 +15,9 @@ def ypix(v):
     return 34 + 242 * (1 - v)
 
 
-def render(tmp_path, groups, **kw):
+def render(tmp_path, groups, title="t", y_label="y"):
     path = tmp_path / "plot.svg"
-    box_plot(str(path), groups, **kw)
+    box_plot(str(path), groups, title, y_label)
     return ET.parse(path).getroot()
 
 
@@ -70,6 +70,6 @@ def test_values_clamp_to_range(tmp_path):
 
 def test_validation():
     with pytest.raises(ValidationError, match="at least one"):
-        box_plot("/tmp/x.svg", {})
+        box_plot("/tmp/x.svg", {}, "t", "y")
     with pytest.raises(ValidationError, match="no values"):
-        box_plot("/tmp/x.svg", {"a": []})
+        box_plot("/tmp/x.svg", {"a": []}, "t", "y")

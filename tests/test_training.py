@@ -1,5 +1,6 @@
 """Adam optimizer, training loop determinism, resume, and run records."""
 
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -392,6 +393,42 @@ def test_run_loss_comparison_sequential_and_parallel(tmp_path):
                                        tmp_path / "par", max_workers=2)
     # worker scheduling must not change any result
     assert par.results == seq.results
+
+
+def test_run_loss_comparison_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # The pool forks all its workers at the first submit, so it is sized to
+    # the cells; here it runs in-process and starts no processes.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    def fake_cell(data_dir, model_cfg, cell_cfg, cell_dir):
+        return [training.CaseResult(cell_cfg.loss.kind, cell_cfg.seed, "case_000", 3,
+                                    0.5, None)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(training, "_run_cell", fake_cell)
+    model_cfg = ModelConfig(num_labels=7, depth=1, base_channels=2, patch_size=16)
+    cmp_cfg = training.CompareConfig(losses=("ce", "bsd"), seeds=(0,), small_labels=(3,))
+    report = training.run_loss_comparison(tmp_path / "nope", model_cfg,
+                                          fast_cfg(steps=1, holdout_cases=1), cmp_cfg,
+                                          tmp_path / "out", max_workers=8)
+    assert sizes == [2]
+    assert report.failed_cells == []
+    assert [(r.loss_kind, r.seed) for r in report.results] == [("bsd", 0), ("ce", 0)]
 
 
 @pytest.mark.parametrize("key,value", [
