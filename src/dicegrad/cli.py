@@ -70,7 +70,8 @@ def _load_checkpoint(path, model_cfg: model_mod.ModelConfig):
 
 
 def cmd_gen_data(args, cfg: dict) -> int:
-    spec = config.phantom_spec(cfg)
+    cases = phantom.generate_dataset(config.phantom_spec(cfg), cfg["data.num_cases"],
+                                     cfg["data.seed"])
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -78,8 +79,7 @@ def cmd_gen_data(args, cfg: dict) -> int:
     written: list[str] = []
     refs = []
     try:
-        for case_id, seed, vol in phantom.generate_dataset(
-                spec, cfg["data.num_cases"], cfg["data.seed"]):
+        for case_id, seed, vol in cases:
             ref = volume_io.save_case(args.out, case_id, vol, seed)
             written += [os.path.join(args.out, ref.image_path),
                         os.path.join(args.out, ref.label_path)]
@@ -98,6 +98,9 @@ def cmd_gen_data(args, cfg: dict) -> int:
 def cmd_gradcheck(args, cfg: dict) -> int:
     threshold = cfg["check.threshold"]
     e2e_threshold = cfg["check.end_to_end_threshold"]
+    for key in ("check.threshold", "check.end_to_end_threshold"):
+        if not 0 < cfg[key] < float("inf"):     # NaN too: no error is below it
+            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
     rows = gradcheck.run_layer_checks() + gradcheck.run_loss_checks()
     lines = []
     failures = 0

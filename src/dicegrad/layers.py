@@ -43,32 +43,39 @@ class LayerParams:
 # 3x3 convolution
 # ---------------------------------------------------------------------------
 
-def _flat_padded(C: int, H: int, W: int):
-    """Zeroed flat padded plane xf [C, Hp*Wp + 2] and a view of its interior.
+def _tap_windows(x: np.ndarray):
+    """Yield (b, windows) for each batch item of `x` [B,C,H,W]: the item is
+    copied into the interior of one zeroed flat padded plane xf
+    [C, Hp*Wp + 2], and windows[k] is the view of tap (u,v), k = 3u + v.
 
     Row i, column j of the padded plane sits at xf[:, i*Wp + j], so the
-    window of tap (u,v) is the contiguous run xf[:, u*Wp + v:][:, :H*Wp].
-    The two-element tail lets the last tap's window run past the final
-    padded row.  The pad ring is never written, so one buffer serves every
-    batch item.
+    window of tap (u,v) is the contiguous run xf[:, u*Wp + v:][:, :H*Wp]:
+    its column i*Wp + j holds padded pixel (i+u, j+v).  Columns j >= W of
+    each window row wrap into the next padded row.  The two-element tail
+    lets the last tap's window run past the final padded row.  The pad ring
+    is never written, so the plane and its windows serve every item; a
+    window is valid only until the next item is yielded.
     """
+    B, C, H, W = x.shape
     Hp, Wp = H + 2 * PAD, W + 2 * PAD
     xf = np.zeros((C, Hp * Wp + 2))
     interior = xf[:, :Hp * Wp].reshape(C, Hp, Wp)[:, PAD:PAD + H, PAD:PAD + W]
-    return xf, interior
+    windows = [xf[:, u * Wp + v:][:, :H * Wp] for u in range(3) for v in range(3)]
+    for b in range(B):
+        interior[:] = x[b]
+        yield b, windows
 
 
 def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Same-size 3x3 cross-correlation of `x` [B,Cin,H,W] with `taps` [Cout,Cin,3,3].
 
-    Computed per batch item as one GEMM per kernel tap (u,v) against a
-    shifted window of the flattened, zero-padded plane xf (`_flat_padded`):
+    Computed per batch item as one GEMM per kernel tap k = 3u + v against
+    that tap's window of the flat padded plane xf (`_tap_windows`):
 
         A[o, i*Wp + j] = sum_{u,v} sum_c taps[o,c,u,v] * xf[c, u*Wp + v + i*Wp + j]
         y[o,i,j]       = A[o, i*Wp + j]   for j < W
 
-    Because a row of the window is Wp wide, output columns j >= W wrap into
-    the next padded row; they are computed and cropped.
+    The wrapped columns j >= W are computed and cropped.
 
     Each output element is the same BLAS dot product over Cin as in a single
     [9*Cout, Cin] x [Cin, Hp*Wp] GEMM, and the taps are summed in the same
@@ -79,34 +86,28 @@ def _corr3x3(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     B, C, H, W = x.shape
     O = taps.shape[0]
     Wp = W + 2 * PAD
-    n = H * Wp
     # Contiguous [rows, Cin] per tap, as a strided slice would not reach BLAS.
     # numpy sends a one-row product to gemv, whose dot order differs from
     # gemm's, so a zero second row keeps Cout = 1 on gemm too.
     rows = max(O, 2)
-    tap_mats = np.zeros((3, 3, rows, C))
-    tap_mats[:, :, :O] = taps.transpose(2, 3, 0, 1)
-    xf, interior = _flat_padded(C, H, W)
-    acc = np.empty((rows, n))
-    part = np.empty((rows, n))
+    tap_mats = np.zeros((9, rows, C))
+    tap_mats[:, :O] = taps.transpose(2, 3, 0, 1).reshape(9, O, C)
+    acc = np.empty((rows, H * Wp))
+    part = np.empty((rows, H * Wp))
     y = np.empty((B, O, H, W))
-    for b in range(B):
-        interior[:] = x[b]
-        np.matmul(tap_mats[0, 0], xf[:, :n], out=acc)
-        for u in range(3):
-            for v in range(3):
-                if u or v:
-                    off = u * Wp + v
-                    np.matmul(tap_mats[u, v], xf[:, off:off + n], out=part)
-                    acc += part
+    for b, windows in _tap_windows(x):
+        np.matmul(tap_mats[0], windows[0], out=acc)
+        for k in range(1, 9):
+            np.matmul(tap_mats[k], windows[k], out=part)
+            acc += part
         y[b] = acc[:O].reshape(O, H, Wp)[:, :, :W]
     return y
 
 
 def _corr3x3_one_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """`_corr3x3` for a one-channel `x` [B,1,H,W]: per batch item, the nine
-    shifted windows of the padded plane are unfolded into cols [9, H*W]
-    (im2col), and y[b] = taps [Cout, 9] @ cols is one GEMM.
+    """`_corr3x3` for a one-channel `x` [B,1,H,W]: per batch item, the first
+    W columns of each window row (`_tap_windows`) are unfolded into cols
+    [9, H*W] (im2col), and y[b] = taps [Cout, 9] @ cols is one GEMM.
 
     With Cin = 1 every per-tap GEMM of `_corr3x3` is an outer product, so
     the unfold replaces nine thin GEMMs and eight accumulations by one
@@ -115,15 +116,13 @@ def _corr3x3_one_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """
     B, _, H, W = x.shape
     O = taps.shape[0]
-    xp = np.zeros((H + 2 * PAD, W + 2 * PAD))
-    cols = np.empty((3, 3, H, W))
+    Wp = W + 2 * PAD
+    cols = np.empty((9, H, W))
     w = taps.reshape(O, 9)
     y = np.empty((B, O, H, W))
-    for b in range(B):
-        xp[PAD:PAD + H, PAD:PAD + W] = x[b, 0]
-        for u in range(3):
-            for v in range(3):
-                cols[u, v] = xp[u:u + H, v:v + W]
+    for b, windows in _tap_windows(x):
+        for k, window in enumerate(windows):
+            cols[k] = window.reshape(H, Wp)[:, :W]
         np.matmul(w, cols.reshape(9, H * W), out=y[b].reshape(O, H * W))
     return y
 
@@ -146,37 +145,32 @@ def conv2d_backward(cache, dy: np.ndarray, need_dx: bool = True):
     """Gradients of conv2d with respect to input, weights, and bias.
 
     dx is the correlation of dy with the spatially flipped, channel-transposed
-    kernel.  dW is formed per batch item and per tap (u,v): the dy plane,
-    zero-padded to the padded row width Wp and flattened to [Cout, H*Wp],
-    times the transposed window of tap (u,v) of the flat padded input
-    (`_flat_padded`), whose wrapped columns meet the zero pad of dy.  With
+    kernel.  dW is formed per batch item and per tap k = 3u + v: the dy
+    plane, zero-padded to the padded row width Wp and flattened to
+    [Cout, H*Wp], times the transposed window of tap k of the input
+    (`_tap_windows`), whose wrapped columns meet the zero pad of dy.  With
     `need_dx` false, dx is None and its correlation is skipped (the network
     input needs no gradient).
     """
     x, w = cache
-    B, C, H, W = x.shape
+    _, C, H, W = x.shape
     O = w.shape[0]
     Wp = W + 2 * PAD
-    n = H * Wp
 
     dx = _corr3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_dx else None
     db = dy.sum(axis=(0, 2, 3))
 
-    xf, interior = _flat_padded(C, H, W)
     dyp = np.zeros((O, H, Wp))
     dy_plane = dyp[:, :, :W]
-    dy_flat = dyp.reshape(O, n)
-    dw_mat = np.zeros((3, 3, O, C))
+    dy_flat = dyp.reshape(O, H * Wp)
+    dw_mat = np.zeros((9, O, C))
     part = np.empty((O, C))
-    for b in range(B):
-        interior[:] = x[b]
+    for b, windows in _tap_windows(x):
         dy_plane[:] = dy[b]
-        for u in range(3):
-            for v in range(3):
-                off = u * Wp + v
-                np.matmul(dy_flat, xf[:, off:off + n].T, out=part)
-                dw_mat[u, v] += part
-    dw = dw_mat.transpose(2, 3, 0, 1)
+        for k, window in enumerate(windows):
+            np.matmul(dy_flat, window.T, out=part)
+            dw_mat[k] += part
+    dw = dw_mat.reshape(3, 3, O, C).transpose(2, 3, 0, 1)
     return dx, dw, db
 
 

@@ -70,8 +70,10 @@ class PhantomSpec:
     def __post_init__(self):
         if self.volume_size < 32:
             raise ValidationError(f"volume_size must be >= 32, got {self.volume_size}")
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not np.isfinite(self.low_contrast):      # any sign; 0 is no contrast
+            raise ValidationError(f"low_contrast must be finite, got {self.low_contrast}")
 
 
 def _jittered_grid(spec: PhantomSpec, rng: Rng):
@@ -185,9 +187,12 @@ def case_seed_for(base_seed: int, index: int) -> int:
 
 
 def generate_dataset(spec: PhantomSpec, num_cases: int, base_seed: int):
-    """Yield (case_id, seed, volume) for a reproducible ordered dataset."""
+    """An iterator of (case_id, seed, volume) for a reproducible ordered
+    dataset; the arguments are checked on the call, before any case is built."""
     if num_cases < 1:
         raise ValidationError(f"num_cases must be >= 1, got {num_cases}")
-    for idx in range(num_cases):
-        seed = case_seed_for(base_seed, idx)
-        yield f"case_{idx:03d}", seed, generate_phantom(spec, seed)
+    if base_seed < 0:               # numpy seeds only non-negative integers
+        raise ValidationError(f"base seed must be >= 0, got {base_seed}")
+    seeds = [case_seed_for(base_seed, idx) for idx in range(num_cases)]
+    return ((f"case_{idx:03d}", seed, generate_phantom(spec, seed))
+            for idx, seed in enumerate(seeds))

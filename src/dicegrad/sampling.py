@@ -50,8 +50,8 @@ class SamplerConfig:
             raise ValidationError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
         for name in ("center_jitter_px", "max_translation_px", "elastic_sigma", "elastic_alpha"):
             value = getattr(self, name)
-            if not value >= 0:          # NaN too: it would act as 0
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < np.inf:     # NaN too: it would act as 0
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         if self.max_translation_px >= self.patch_size:
             raise ValidationError(f"max_translation_px must be < patch_size "
                                   f"{self.patch_size}, got {self.max_translation_px}")

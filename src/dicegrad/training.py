@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValidationError("adam betas must lie in (0, 1)")
         if self.steps < 0 or self.holdout_cases < 0:
             raise ValidationError("steps and holdout_cases must be >= 0")
+        if self.seed < 0:               # numpy seeds only non-negative integers
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ValidationError("checkpoint_every and eval_every must be >= 0")
         if self.eval_every and not self.holdout_cases:
@@ -260,13 +262,17 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
         if not 1 <= label < model_cfg.num_labels:
             raise ValidationError(f"compare.small_labels entry {label} is outside the "
                                   f"foreground labels [1, {model_cfg.num_labels})")
-    os.makedirs(out_dir, exist_ok=True)
     jobs = {}
     for kind in cmp_cfg.losses:
         for seed in cmp_cfg.seeds:
             cell_cfg = replace(base_cfg, seed=seed, loss=replace(base_cfg.loss, kind=kind))
             jobs[(kind, seed)] = (data_dir, model_cfg, cell_cfg,
                                   os.path.join(out_dir, f"{kind}_s{seed}"))
+    # The dataset every cell will load, checked once here: a missing
+    # manifest, a holdout as large as the dataset or a label the model does
+    # not know would otherwise fail every cell and leave empty reports.
+    load_split(data_dir, base_cfg.holdout_cases, model_cfg.num_labels)
+    os.makedirs(out_dir, exist_ok=True)
 
     results: list[CaseResult] = []
     failed: list[tuple[str, int, str]] = []

@@ -71,6 +71,18 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["data.seed=-1", "data.num_cases=0",
+                                     "phantom.noise_std=nan", "phantom.noise_std=inf",
+                                     "phantom.low_contrast=nan",
+                                     "phantom.low_contrast=-inf"])
+def test_gen_data_bad_setting_is_config_error(tmp_path, capsys, setting):
+    # rejected before the output directory is made
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "x"), "--set", setting])
+    assert rc == cli.EXIT_CONFIG
+    assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("setting", ["sampler.augment=false", "model.in_channels=1"])
 def test_deleted_config_keys_are_unknown(tmp_path, capsys, setting):
     # Zero flip_prob, max_translation_px and elastic_alpha turn augmentation
@@ -117,6 +129,19 @@ def test_gradcheck_failure_exit_code(stub_checks, capsys):
     assert rc == cli.EXIT_CHECK_FAILED
     assert "FAIL" in out
     assert "2/4 checks passed" in out
+
+
+@pytest.mark.parametrize("setting", ["check.threshold=nan", "check.threshold=0",
+                                     "check.end_to_end_threshold=inf",
+                                     "check.end_to_end_threshold=-1e-4"])
+def test_gradcheck_bad_threshold_is_config_error(stub_checks, tmp_path, capsys, setting):
+    # a NaN threshold would fail every check, an infinite one pass any error
+    rc = cli.main(["gradcheck", "--out", str(tmp_path / "g"), "--set", setting])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG
+    assert setting.split("=")[0] in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "g").exists()
 
 
 def test_gradcheck_nan_parameter_gradient_fails(monkeypatch, capsys):
@@ -184,7 +209,10 @@ def test_train_bad_adam_eps_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("setting", ["sampler.max_translation_px=-3",
                                      "sampler.elastic_alpha=-4",
-                                     "sampler.max_translation_px=40"])
+                                     "sampler.max_translation_px=40",
+                                     "sampler.elastic_sigma=inf",
+                                     "sampler.elastic_alpha=inf",
+                                     "train.seed=-1"])
 def test_train_negative_sampler_value_is_config_error(tmp_path, setting):
     # the config is validated before the (missing) dataset is read
     rc = cli.main(["train", "--data", str(tmp_path / "nope"),
@@ -467,6 +495,34 @@ def test_compare_bad_config_is_config_error(tmp_path, capsys, setting):
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not (out / "verdicts.txt").exists()
     assert not (out / "compare_results.csv").exists()
+
+
+def test_compare_negative_seed_is_config_error(tmp_path, capsys):
+    # each cell's config is built, and checked, before any cell trains
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--data", str(tmp_path / "nope"), "--out", str(out)]
+                  + TINY + ["--set", "compare.seeds=0,-1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["effective_config.cfg"]
+
+
+@pytest.mark.parametrize("setting,code", [
+    ("missing", cli.EXIT_IO),                       # no manifest.csv
+    ("train.holdout_cases=3", cli.EXIT_CONFIG),     # the whole 3-case dataset
+    ("model.num_labels=5", cli.EXIT_CONFIG),        # the phantoms have labels 0..6
+])
+def test_compare_bad_dataset_fails_before_any_cell(tmp_path, capsys, setting, code):
+    # checked once before any cell trains: no cell directory, CSV or verdicts
+    data = str(tmp_path / "nope") if setting == "missing" else gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--data", data, "--out", str(out)] + TINY
+                  + ["--set", "compare.losses=ce,bsd", "--set", "compare.seeds=0"]
+                  + (["--set", setting] if "=" in setting else []))
+    assert rc == code
+    assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["effective_config.cfg"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

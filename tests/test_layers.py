@@ -347,6 +347,37 @@ def test_conv_bitwise_equals_nine_shift_reference(shape):
     assert all(_same_bits(g, r) for g, r in zip(got, want))
 
 
+def unfold_one_channel_corr3x3(x, taps):
+    """Reference correlation for a one-channel input: per batch item, the
+    nine shifted windows of a 2-D zero-padded plane unfolded into
+    cols [9, H*W], then one taps [Cout, 9] @ cols product."""
+    B, _, H, W = x.shape
+    O = taps.shape[0]
+    y = np.empty((B, O, H, W))
+    cols = np.empty((3, 3, H, W))
+    for b in range(B):
+        xp = np.pad(x[b, 0], 1)
+        for u in range(3):
+            for v in range(3):
+                cols[u, v] = xp[u:u + H, v:v + W]
+        y[b] = (taps.reshape(O, 9) @ cols.reshape(9, H * W)).reshape(O, H, W)
+    return y
+
+
+# (batch, out channels, height, width): the study's 1->9 @ 64 at its train
+# and eval batch, Cout = 1 (a one-row product, which numpy sends to gemv),
+# and an odd, non-square plane.
+@pytest.mark.parametrize("shape", [(8, 9, 64, 64), (16, 9, 64, 64), (8, 1, 64, 64),
+                                   (2, 3, 5, 7)])
+def test_one_channel_conv_bitwise_equals_unfold_reference(shape):
+    B, O, H, W = shape
+    rng = Rng(53)
+    x = rng.child(0).normal((B, 1, H, W))
+    w = rng.child(1).normal((O, 1, 3, 3))
+    y, _ = layers.conv2d(x, layers.LayerParams(weights=w))
+    assert _same_bits(y, unfold_one_channel_corr3x3(x, w))
+
+
 @pytest.mark.parametrize("shape", BITWISE_SHAPES)
 def test_batchnorm_bitwise_equals_reference(shape):
     B, _, C, H, W = shape

@@ -88,6 +88,13 @@ def test_spec_validation():
         PhantomSpec(volume_size=16)
     with pytest.raises(ValidationError):
         PhantomSpec(noise_std=-0.1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="noise_std"):
+            PhantomSpec(noise_std=value)
+        with pytest.raises(ValidationError, match="low_contrast"):
+            PhantomSpec(low_contrast=value)
+    PhantomSpec(low_contrast=0.0)                # no contrast: the null control
+    PhantomSpec(low_contrast=-0.08)
 
 
 def test_case_seeds_disjoint_across_bases():
@@ -103,5 +110,8 @@ def test_generate_dataset_ids_and_order():
     # regenerating a single case from its recorded seed matches the stream
     again = generate_phantom(spec, out[1][1])
     assert np.array_equal(again.labels, out[1][2].labels)
+    # checked on the call, before the first case is built
     with pytest.raises(ValidationError):
-        list(phantom.generate_dataset(spec, 0, base_seed=1))
+        phantom.generate_dataset(spec, 0, base_seed=1)
+    with pytest.raises(ValidationError, match="seed"):
+        phantom.generate_dataset(spec, 3, base_seed=-1)

@@ -162,6 +162,9 @@ def test_sampler_config_validation():
             SamplerConfig(patch_size=64, **{name: -1})
     with pytest.raises(ValidationError, match="elastic_alpha"):
         SamplerConfig(patch_size=64, elastic_alpha=float("nan"))
+    for name in ("center_jitter_px", "max_translation_px", "elastic_sigma", "elastic_alpha"):
+        with pytest.raises(ValidationError, match=name):
+            SamplerConfig(patch_size=64, **{name: float("inf")})
     SamplerConfig(patch_size=16, max_translation_px=15)
     with pytest.raises(ValidationError, match="max_translation_px must be < patch_size"):
         SamplerConfig(patch_size=16, max_translation_px=16)

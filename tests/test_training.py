@@ -150,6 +150,8 @@ def test_train_config_validation():
         fast_cfg(eval_every=-5)
     with pytest.raises(ValidationError, match="holdout_cases is 0"):
         fast_cfg(eval_every=1, holdout_cases=0)
+    with pytest.raises(ValidationError, match="seed"):
+        fast_cfg(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,7 @@ def test_run_loss_comparison_starts_no_more_workers_than_cells(tmp_path, monkeyp
     monkeypatch.setattr(training, "_run_cell", fake_cell)
     model_cfg = ModelConfig(num_labels=7, depth=1, base_channels=2, patch_size=16)
     cmp_cfg = training.CompareConfig(losses=("ce", "bsd"), seeds=(0,), small_labels=(3,))
-    report = training.run_loss_comparison(tmp_path / "nope", model_cfg,
+    report = training.run_loss_comparison(_dataset_dir(tmp_path / "data"), model_cfg,
                                           fast_cfg(steps=1, holdout_cases=1), cmp_cfg,
                                           tmp_path / "out", max_workers=8)
     assert sizes == [2]
@@ -456,10 +458,12 @@ def test_run_loss_comparison_rejects_bad_config(tmp_path, key, value):
 def test_run_loss_comparison_collects_cell_failures(tmp_path):
     data_dir = _dataset_dir(tmp_path / "data")
     model_cfg = ModelConfig(num_labels=7, depth=1, base_channels=2, patch_size=16)
-    base = fast_cfg(steps=1, holdout_cases=3)     # >= dataset size: every cell fails
+    # A learning rate this large overflows the weights in the first Adam
+    # step, so every cell fails on its second step with a non-finite value.
+    base = fast_cfg(steps=2, holdout_cases=1, learning_rate=1e300)
     cmp_cfg = training.CompareConfig(losses=("ce",), seeds=(0, 1), small_labels=(3,))
     report = training.run_loss_comparison(data_dir, model_cfg, base, cmp_cfg,
                                           tmp_path / "out", max_workers=1)
     assert report.results == []
     assert {(k, s) for k, s, _ in report.failed_cells} == {("ce", 0), ("ce", 1)}
-    assert all("ValidationError" in msg for _, _, msg in report.failed_cells)
+    assert all("NumericError" in msg for _, _, msg in report.failed_cells)
