@@ -62,8 +62,6 @@ SCHEMA: dict = {
        for f in fields(cls)
        if f.type in _PARSERS and f.default is not MISSING},
     "model.num_labels": (int, NUM_LABELS),
-    **{f"phantom.spacing_{axis}": (float, mm)
-       for axis, mm in zip("zyx", PhantomSpec.spacing_mm)},
     "data.num_cases": (int, 30),
     "data.seed": (int, 0),
     "eval.oracle_self_test": (_parse_bool, False),
@@ -154,8 +152,7 @@ def sampler_config(cfg: dict) -> SamplerConfig:
 
 
 def phantom_spec(cfg: dict) -> PhantomSpec:
-    return _build(PhantomSpec, "phantom", cfg, spacing_mm=tuple(
-        cfg[f"phantom.spacing_{axis}"] for axis in "zyx"))
+    return _build(PhantomSpec, "phantom", cfg)
 
 
 def train_config(cfg: dict) -> TrainConfig:

@@ -23,6 +23,7 @@ per-label form is what actually distinguishes per-image from batch-pooled
 training.  A small epsilon in numerator and denominator keeps empty-mask
 quotients finite (empty vs. empty counts as a perfect match); epsilon 0 is
 accepted for exact-identity checks where every quotient is known nonzero.
+The per-label mean runs over every label, background included.
 
 Every loss returns the scalar value together with d(value)/dp, treating
 the loss as a function of unconstrained p; composing with the softmax
@@ -39,6 +40,7 @@ from .errors import ValidationError
 
 LOSS_KINDS = ("ce", "wce", "sd", "bsd")
 DICE_LABEL_MODES = ("joint", "per_label_mean")
+PROB_CLAMP = 1e-12
 
 
 @dataclass
@@ -46,8 +48,6 @@ class LossConfig:
     kind: str = "bsd"
     epsilon: float = 1e-5
     dice_label_mode: str = "per_label_mean"
-    include_background: bool = True
-    prob_clamp: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -56,8 +56,6 @@ class LossConfig:
             raise ValidationError(f"unknown dice_label_mode {self.dice_label_mode!r}")
         if not 0 <= self.epsilon < np.inf:
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not 0 < self.prob_clamp <= 1e-3:
-            raise ValidationError(f"prob_clamp must be in (0, 1e-3], got {self.prob_clamp}")
 
 
 @dataclass
@@ -102,18 +100,17 @@ def pixel_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def _cross_entropy(p: np.ndarray, r: np.ndarray, cfg: LossConfig,
-                   weighted: bool) -> LossResult:
+def _cross_entropy(p: np.ndarray, r: np.ndarray, weighted: bool) -> LossResult:
     """Mean over all N pixels of -log p at the true label, each pixel
     weighted by 1, or by 1/w_c when `weighted` so that rare labels
-    contribute on par with frequent ones.  Entries of p below the clamp
-    get no gradient."""
+    contribute on par with frequent ones.  p is floored at `PROB_CLAMP`
+    before the log, and entries below it get no gradient."""
     _check_onehot(r)
     n = p.shape[0] * p.shape[2] * p.shape[3]
     w = 1.0 / pixel_weights(r) if weighted else 1.0
-    safe = np.maximum(p, cfg.prob_clamp)
+    safe = np.maximum(p, PROB_CLAMP)
     term = r * np.log(safe)
-    grad = np.where(p < cfg.prob_clamp, 0.0, r / safe)
+    grad = np.where(p < PROB_CLAMP, 0.0, r / safe)
     value = -float(np.sum(term * w)) / n
     return LossResult(value, -grad * w / n)
 
@@ -134,25 +131,17 @@ def _soft_dice(p: np.ndarray, r: np.ndarray, cfg: LossConfig, pooled: bool) -> L
         inter = np.sum(inter, axis=0)[None]             # [1, L]
         mass = np.sum(mass, axis=0)[None]
     if cfg.dice_label_mode == "joint":
-        lo = 0
         inter = np.sum(inter, axis=1)[:, None]          # [G, 1]
         mass = np.sum(mass, axis=1)[:, None]
-    else:
-        lo = 0 if cfg.include_background else 1
-        if lo >= p.shape[1]:
-            raise ValidationError("no labels left after excluding background")
-        inter, mass = inter[:, lo:], mass[:, lo:]       # [G, L']
     num = 2.0 * inter + cfg.epsilon
     den = mass + cfg.epsilon
     q = num.size
     value = float(np.sum(1.0 - num / den)) / q
-    # d/dp of -(num/den) by the quotient rule: a - b r on the kept labels
+    # d/dp of -(num/den) by the quotient rule: a - b r
     a = (num / den**2 / q)[:, :, None, None]
     b = (2.0 / den / q)[:, :, None, None]
-    buf[:, :lo] = 0.0
-    kept = buf[:, lo:]
-    np.multiply(b, r[:, lo:], out=kept)
-    np.subtract(a, kept, out=kept)
+    np.multiply(b, r, out=buf)
+    np.subtract(a, buf, out=buf)
     return LossResult(value, buf)
 
 
@@ -161,5 +150,5 @@ def compute_loss(p: np.ndarray, r: np.ndarray, cfg: LossConfig) -> LossResult:
     against one-hot ground truth `r`, both [I, L, H, W]."""
     _check_pair(p, r)
     if cfg.kind in ("ce", "wce"):
-        return _cross_entropy(p, r, cfg, weighted=cfg.kind == "wce")
+        return _cross_entropy(p, r, weighted=cfg.kind == "wce")
     return _soft_dice(p, r, cfg, pooled=cfg.kind == "bsd")

@@ -161,7 +161,7 @@ def _unit_forward(m: SegModel, name: str, x, train: bool, record):
     return y
 
 
-def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool = True):
+def _unit_backward(cache, dy, grads: dict, name: str, need_dx: bool):
     c_conv, c_bn, c_relu = cache
     dy = layers.relu_backward(c_relu, dy)
     dy, dgamma, dbeta = layers.batchnorm_backward(c_bn, dy)

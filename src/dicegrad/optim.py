@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import NumericError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -30,12 +34,9 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, cfg) -> None:
-    """One in-place Adam update with bias correction.
-
-    `cfg` supplies learning_rate, adam_beta1, adam_beta2 and adam_eps (a
-    `training.TrainConfig`).
-    """
+              state: AdamState, learning_rate: float) -> None:
+    """One in-place Adam update with bias correction, at decay rates
+    `BETA1`, `BETA2` and denominator epsilon `EPS`."""
     # Every gradient is checked before anything is touched, so a failed
     # step leaves the parameters, the moments and the step count as they were.
     for name in params:
@@ -45,14 +46,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                                f"at step {state.step}")
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + EPS)

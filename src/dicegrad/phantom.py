@@ -19,10 +19,11 @@ larger ones.  The label fractions land in the regime that motivates
 balanced sampling: the cross occupies well under 0.2% of the volume while
 background stays above 90%.
 
-Only the volume size, spacing, noise and `low_contrast` are settable
-(`PhantomSpec`).  Module constants fix the rest: the intensities
-`INTENSITY_AIR`, `INTENSITY_HEAD`, `INTENSITY_STEM`, `INTENSITY_JAW`,
-`INTENSITY_GLANDS_BIG` and `INTENSITY_GLANDS_SMALL`; the per-case jitter
+Only the volume size, noise and `low_contrast` are settable
+(`PhantomSpec`).  Module constants fix the rest: the voxel spacing
+`SPACING_MM`; the intensities `INTENSITY_AIR`, `INTENSITY_HEAD`,
+`INTENSITY_STEM`, `INTENSITY_JAW`, `INTENSITY_GLANDS_BIG` and
+`INTENSITY_GLANDS_SMALL`; the per-case jitter
 ranges `MAX_SHIFT_VOX`, `MAX_ROT_RAD`, `SCALE_LOW` and `SCALE_HIGH`; and
 `RETRIES`, the number of derived seeds tried per case.
 """
@@ -41,6 +42,8 @@ NUM_LABELS = 7
 FOREGROUND_LABELS = (1, 2, 3, 4, 5, 6)
 
 STEM, JAW, CROSS, TUBES, GLANDS_BIG, GLANDS_SMALL = FOREGROUND_LABELS
+
+SPACING_MM = (1.2, 1.0, 1.0)     # voxel spacing in mm, (z, y, x)
 
 
 # Absolute intensities; the analogs of soft structures sit within
@@ -63,7 +66,6 @@ RETRIES = 8
 @dataclass
 class PhantomSpec:
     volume_size: int = 64
-    spacing_mm: tuple[float, float, float] = (1.2, 1.0, 1.0)
     noise_std: float = 0.02
     low_contrast: float = 0.08
 
@@ -177,7 +179,7 @@ def generate_phantom(spec: PhantomSpec, case_seed: int) -> LabeledVolume:
     for label in _PAINT_ORDER:
         img[labels == label] = intensity[label]
     img += rng.child(1).normal(labels.shape, std=spec.noise_std)
-    return LabeledVolume(img, labels, spec.spacing_mm)
+    return LabeledVolume(img, labels, SPACING_MM)
 
 
 def case_seed_for(base_seed: int, index: int) -> int:

@@ -35,10 +35,10 @@ def _text(parent, x, y, s, size=12, anchor="middle"):
     return el
 
 
-def _line(parent, x1, y1, x2, y2, width=1.0, color="#222"):
+def _line(parent, x1, y1, x2, y2, width=1.0):
     ET.SubElement(parent, "line", {
         "x1": f"{x1:.1f}", "y1": f"{y1:.1f}", "x2": f"{x2:.1f}", "y2": f"{y2:.1f}",
-        "stroke": color, "stroke-width": f"{width:g}",
+        "stroke": "#222", "stroke-width": f"{width:g}",
     })
 
 

@@ -39,9 +39,6 @@ from .tensor_core import Rng
 class TrainConfig:
     steps: int = 2000
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0          # 0: only the final checkpoint
     eval_every: int = 0                # 0: no evaluation during training
@@ -50,11 +47,9 @@ class TrainConfig:
     sampler: SamplerConfig = field(kw_only=True)   # no default: built with model.patch_size
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < np.inf and 0 < self.adam_eps < np.inf):
-            raise ValidationError(f"learning_rate and adam_eps must be finite and > 0, "
-                                  f"got {self.learning_rate} and {self.adam_eps}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValidationError("adam betas must lie in (0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 0 or self.holdout_cases < 0:
             raise ValidationError("steps and holdout_cases must be >= 0")
         if self.seed < 0:               # numpy seeds only non-negative integers
@@ -73,6 +68,12 @@ class RunRecord:
     wall_clock: float = 0.0
 
 
+def _check_labels(case_id: str, vol, num_labels: int) -> None:
+    if vol.labels.max(initial=0) >= num_labels:
+        raise ValidationError(f"case {case_id} has label {vol.labels.max()} but the "
+                              f"model knows {num_labels} labels")
+
+
 def evaluate_cases(cases, num_labels: int, m: model_mod.SegModel | None = None):
     """Score each (case_id, LabeledVolume) of `cases`, yielding one
     (case_id, label, LabelMetrics) row per foreground label, in case order
@@ -83,11 +84,7 @@ def evaluate_cases(cases, num_labels: int, m: model_mod.SegModel | None = None):
     iterable, so a caller can load one case at a time.
     """
     for case_id, vol in cases:
-        if vol.labels.max(initial=0) >= num_labels:
-            raise ValidationError(
-                f"case {case_id} has label {vol.labels.max()} but the model "
-                f"knows {num_labels} labels"
-            )
+        _check_labels(case_id, vol, num_labels)
         if m is None:
             pred = vol.labels.copy()
         else:
@@ -151,7 +148,7 @@ def train(m: model_mod.SegModel, dataset: PatchDataset, cfg: TrainConfig,
             if not np.isfinite(res.value):
                 raise NumericError(f"loss became non-finite at step {t}")
             grads = model_mod.backward(m, tape, res.grad_p)
-            adam_step(params, grads, state, cfg)
+            adam_step(params, grads, state, cfg.learning_rate)
         record.losses.append((t, res.value))
         done = t + 1
         if out_dir is not None and cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
@@ -218,13 +215,16 @@ class CompareReport:
 
 def load_split(data_dir, holdout_cases: int, num_labels: int):
     """Dataset split: all but the last `holdout_cases` manifest entries
-    train; the tail is held out for evaluation."""
+    train; the tail is held out for evaluation.  Every case's labels are
+    checked against `num_labels` here, the held-out ones included."""
     refs = volume_io.read_manifest(data_dir)
     if holdout_cases >= len(refs):
         raise ValidationError(
             f"holdout_cases {holdout_cases} >= dataset size {len(refs)}"
         )
     cases = [(r.case_id, volume_io.load_case(data_dir, r)) for r in refs]
+    for case_id, vol in cases:
+        _check_labels(case_id, vol, num_labels)
     split = len(cases) - holdout_cases
     train_ds = PatchDataset(cases[:split], num_labels)
     return train_ds, cases[split:]

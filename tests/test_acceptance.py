@@ -113,22 +113,19 @@ def test_criterion_2_loss_identities(capsys):
     n_configs = 0
     bitwise_ok = True
     for mode in ("joint", "per_label_mean"):
-        for include_bg in (True, False):
-            for eps in (1e-5, 1e-9, 0.0):
-                for absent in (False, True):
-                    p = rng.uniform(0.05, 1.0, size=(1, 3, 5, 5))
-                    r = one_hot_batch(rng, (1, 3, 5, 5))
-                    if absent:
-                        r[:, 2] = 0.0
-                        r[:, 0] = 1.0 - r[:, 1]
-                    kw = dict(epsilon=eps, dice_label_mode=mode,
-                              include_background=include_bg)
-                    sd = losses.compute_loss(p, r, losses.LossConfig(kind="sd", **kw))
-                    bsd = losses.compute_loss(p, r, losses.LossConfig(kind="bsd", **kw))
-                    n_configs += 1
-                    if sd.value != bsd.value or not np.array_equal(sd.grad_p,
-                                                                   bsd.grad_p):
-                        bitwise_ok = False
+        for eps in (1e-5, 1e-9, 0.0):
+            for absent in (False, True):
+                p = rng.uniform(0.05, 1.0, size=(1, 3, 5, 5))
+                r = one_hot_batch(rng, (1, 3, 5, 5))
+                if absent:
+                    r[:, 2] = 0.0
+                    r[:, 0] = 1.0 - r[:, 1]
+                kw = dict(epsilon=eps, dice_label_mode=mode)
+                sd = losses.compute_loss(p, r, losses.LossConfig(kind="sd", **kw))
+                bsd = losses.compute_loss(p, r, losses.LossConfig(kind="bsd", **kw))
+                n_configs += 1
+                if sd.value != bsd.value or not np.array_equal(sd.grad_p, bsd.grad_p):
+                    bitwise_ok = False
 
     # (b) joint-mode pooling identity at epsilon 0 under softmax probabilities
     worst_joint = 0.0

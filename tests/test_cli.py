@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dicegrad import checkpoint, cli, gradcheck, model, optim
+from dicegrad import checkpoint, cli, gradcheck, model, optim, volume_io
 from dicegrad.tensor_core import Rng
 
 
@@ -29,6 +29,17 @@ def gen(tmp_path, name="data", cases=3):
     rc = cli.main(["gen-data", "--out", out,
                    "--set", f"data.num_cases={cases}"])
     assert rc == cli.EXIT_OK
+    return out
+
+
+def gen_bad_holdout(tmp_path):
+    """A 3-case dataset whose last case, the holdout under TINY, has one
+    voxel of label 7, which the default 7-label model does not know."""
+    out = gen(tmp_path)
+    path = os.path.join(out, volume_io.case_filenames("case_002")[1])
+    labels, spacing = volume_io.load_dvol(path)
+    labels[0, 0, 0] = 7
+    volume_io.save_dvol(path, labels, spacing)
     return out
 
 
@@ -83,10 +94,17 @@ def test_gen_data_bad_setting_is_config_error(tmp_path, capsys, setting):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("setting", ["sampler.augment=false", "model.in_channels=1"])
+@pytest.mark.parametrize("setting", ["sampler.augment=false", "model.in_channels=1",
+                                     "train.adam_beta1=0.9", "train.adam_beta2=0.999",
+                                     "train.adam_eps=1e-08", "phantom.spacing_z=1.2",
+                                     "phantom.spacing_y=1.0", "phantom.spacing_x=1.0",
+                                     "loss.prob_clamp=1e-12",
+                                     "loss.include_background=true"])
 def test_deleted_config_keys_are_unknown(tmp_path, capsys, setting):
     # Zero flip_prob, max_translation_px and elastic_alpha turn augmentation
-    # off, and the network always reads one intensity channel.
+    # off, and the network always reads one intensity channel.  The Adam
+    # constants, the phantom spacing and the CE clamp are module constants,
+    # and per-label Dice always averages over every label.
     rc = cli.main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"),
                    "--set", setting])
     assert rc == cli.EXIT_CONFIG
@@ -200,13 +218,6 @@ def test_train_requires_dirs(tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == [], given
 
 
-def test_train_bad_adam_eps_is_config_error(tmp_path):
-    # the config is validated before the (missing) dataset is read
-    rc = cli.main(["train", "--data", str(tmp_path / "nope"),
-                   "--out", str(tmp_path / "out")] + TINY + ["--set", "train.adam_eps=-1"])
-    assert rc == cli.EXIT_CONFIG
-
-
 @pytest.mark.parametrize("setting", ["sampler.max_translation_px=-3",
                                      "sampler.elastic_alpha=-4",
                                      "sampler.max_translation_px=40",
@@ -254,6 +265,21 @@ def test_train_eval_every_without_holdout_is_config_error(tmp_path, capsys):
                   + ["--set", "train.holdout_cases=0", "--set", "train.eval_every=1"])
     assert rc == cli.EXIT_CONFIG
     assert "holdout_cases is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_bad_holdout_label_fails_before_any_step(tmp_path, capsys):
+    # the held-out labels are checked when the dataset is read, not at the
+    # first evaluation: nothing but the error is written
+    data = gen_bad_holdout(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--data", data, "--out", str(out)] + TINY
+                  + ["--set", "train.eval_every=1"])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "case case_002 has label 7" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -511,10 +537,16 @@ def test_compare_negative_seed_is_config_error(tmp_path, capsys):
     ("missing", cli.EXIT_IO),                       # no manifest.csv
     ("train.holdout_cases=3", cli.EXIT_CONFIG),     # the whole 3-case dataset
     ("model.num_labels=5", cli.EXIT_CONFIG),        # the phantoms have labels 0..6
+    ("bad_holdout", cli.EXIT_CONFIG),               # label 7 in the held-out case
 ])
 def test_compare_bad_dataset_fails_before_any_cell(tmp_path, capsys, setting, code):
     # checked once before any cell trains: no cell directory, CSV or verdicts
-    data = str(tmp_path / "nope") if setting == "missing" else gen(tmp_path)
+    if setting == "missing":
+        data = str(tmp_path / "nope")
+    elif setting == "bad_holdout":
+        data = gen_bad_holdout(tmp_path)
+    else:
+        data = gen(tmp_path)
     capsys.readouterr()
     out = tmp_path / "cmp"
     rc = cli.main(["compare", "--data", data, "--out", str(out)] + TINY

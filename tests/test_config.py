@@ -52,10 +52,10 @@ def test_parse_errors():
 def test_bool_spellings():
     for raw, want in [("true", True), ("Yes", True), ("1", True), ("on", True),
                       ("false", False), ("No", False), ("0", False), ("off", False)]:
-        cfg = config.resolve(None, [f"loss.include_background={raw}"])
-        assert cfg["loss.include_background"] is want
+        cfg = config.resolve(None, [f"eval.oracle_self_test={raw}"])
+        assert cfg["eval.oracle_self_test"] is want
     with pytest.raises(ConfigError):
-        config.resolve(None, ["loss.include_background=maybe"])
+        config.resolve(None, ["eval.oracle_self_test=maybe"])
 
 
 def test_list_values():
@@ -66,7 +66,7 @@ def test_list_values():
 
 def test_render_round_trips():
     cfg = config.resolve(None, ["train.learning_rate=3e-4", "loss.kind=sd",
-                                "loss.include_background=false", "compare.seeds=7,8,9"])
+                                "eval.oracle_self_test=true", "compare.seeds=7,8,9"])
     text = config.render(cfg)
     again = config.resolve(text)
     assert again == cfg
@@ -90,8 +90,7 @@ def test_builders_wire_shared_keys():
     tc = config.train_config(cfg)
     assert tc.sampler == sc
     assert tc.loss == config.loss_config(cfg)
-    ps = config.phantom_spec(cfg)
-    assert ps.spacing_mm == (1.2, 1.0, 1.0)
+    assert config.phantom_spec(cfg).volume_size == 64
     cc = config.compare_config(cfg)
     assert cc.losses == ("ce", "wce", "sd", "bsd")
 
@@ -117,3 +116,13 @@ def test_readme_lists_every_key_with_its_default():
             assert key not in listed, f"{key} listed twice"
             listed[key] = config.SCHEMA[key][0](value)
     assert listed == config.resolve()
+
+
+def test_committed_echo_is_a_fixed_point():
+    # the study's echo must name every key, and only keys, with the text
+    # that rendering its own resolution gives
+    echo = os.path.join(os.path.dirname(__file__), os.pardir, "results", "compare",
+                        "effective_config.cfg")
+    with open(echo, encoding="utf-8") as fh:
+        text = fh.read()
+    assert config.render(config.resolve(text)) == text

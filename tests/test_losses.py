@@ -61,9 +61,8 @@ def _pair_sums(p, r, i_range, l_range, eps):
     return num, den
 
 
-def oracle_sd(p, r, eps, mode, include_background=True):
+def oracle_sd(p, r, eps, mode):
     ni, nl = p.shape[:2]
-    lo = 0 if include_background else 1
     total = 0.0
     if mode == "joint":
         for i in range(ni):
@@ -71,23 +70,22 @@ def oracle_sd(p, r, eps, mode, include_background=True):
             total += 1.0 - num / den
         return total / ni
     for i in range(ni):
-        for l in range(lo, nl):
+        for l in range(nl):
             num, den = _pair_sums(p, r, [i], [l], eps)
             total += 1.0 - num / den
-    return total / (ni * (nl - lo))
+    return total / (ni * nl)
 
 
-def oracle_bsd(p, r, eps, mode, include_background=True):
+def oracle_bsd(p, r, eps, mode):
     ni, nl = p.shape[:2]
-    lo = 0 if include_background else 1
     if mode == "joint":
         num, den = _pair_sums(p, r, range(ni), range(nl), eps)
         return 1.0 - num / den
     total = 0.0
-    for l in range(lo, nl):
+    for l in range(nl):
         num, den = _pair_sums(p, r, range(ni), [l], eps)
         total += 1.0 - num / den
-    return total / (nl - lo)
+    return total / nl
 
 
 def random_pair(seed, shape=(2, 3, 4, 4), softmax=True):
@@ -133,23 +131,23 @@ def test_wce_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("mode", ["joint", "per_label_mean"])
-@pytest.mark.parametrize("bg", [True, False])
+@pytest.mark.parametrize("softmax", [True, False])
 @pytest.mark.parametrize("seed", [6, 7])
-def test_sd_matches_oracle(mode, bg, seed):
-    p, r = random_pair(seed)
-    cfg = LossConfig(kind="sd", dice_label_mode=mode, include_background=bg)
+def test_sd_matches_oracle(mode, softmax, seed):
+    p, r = random_pair(seed, softmax=softmax)
+    cfg = LossConfig(kind="sd", dice_label_mode=mode)
     got = compute_loss(p, r, cfg).value
-    assert abs(got - oracle_sd(p, r, cfg.epsilon, mode, bg)) < 1e-12
+    assert abs(got - oracle_sd(p, r, cfg.epsilon, mode)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["joint", "per_label_mean"])
-@pytest.mark.parametrize("bg", [True, False])
+@pytest.mark.parametrize("softmax", [True, False])
 @pytest.mark.parametrize("seed", [6, 7])
-def test_bsd_matches_oracle(mode, bg, seed):
-    p, r = random_pair(seed)
-    cfg = LossConfig(kind="bsd", dice_label_mode=mode, include_background=bg)
+def test_bsd_matches_oracle(mode, softmax, seed):
+    p, r = random_pair(seed, softmax=softmax)
+    cfg = LossConfig(kind="bsd", dice_label_mode=mode)
     got = compute_loss(p, r, cfg).value
-    assert abs(got - oracle_bsd(p, r, cfg.epsilon, mode, bg)) < 1e-12
+    assert abs(got - oracle_bsd(p, r, cfg.epsilon, mode)) < 1e-12
 
 
 def test_sd_joint_hand_case():
@@ -199,14 +197,13 @@ def test_identity_single_image_bitwise():
     for p, r in (random_pair(21, shape=(1, 4, 5, 5)),
                  random_pair(864, shape=(1, 3, 4, 4), softmax=False)):
         for mode in ("joint", "per_label_mean"):
-            for bg in (True, False):
-                for eps in (1e-5, 1e-9, 0.0):
-                    sd = compute_loss(p, r, LossConfig(kind="sd", dice_label_mode=mode,
-                                                       include_background=bg, epsilon=eps))
-                    bsd = compute_loss(p, r, LossConfig(kind="bsd", dice_label_mode=mode,
-                                                        include_background=bg, epsilon=eps))
-                    assert sd.value == bsd.value
-                    assert np.array_equal(sd.grad_p, bsd.grad_p)
+            for eps in (1e-5, 1e-9, 0.0):
+                sd = compute_loss(p, r, LossConfig(kind="sd", dice_label_mode=mode,
+                                                   epsilon=eps))
+                bsd = compute_loss(p, r, LossConfig(kind="bsd", dice_label_mode=mode,
+                                                    epsilon=eps))
+                assert sd.value == bsd.value
+                assert np.array_equal(sd.grad_p, bsd.grad_p)
 
 
 def test_identity_joint_mode_eps_zero():
@@ -298,15 +295,6 @@ def test_dice_gradients(kind, mode, absent):
     assert err < 1e-5, err
 
 
-def test_dice_gradients_without_background():
-    cfg = LossConfig(kind="bsd", dice_label_mode="per_label_mean",
-                     include_background=False)
-    assert loss_gradcheck(cfg, seed=19) < 1e-5
-    # excluded channel must receive exactly zero gradient
-    p, r = random_pair(19)
-    assert np.all(compute_loss(p, r, cfg).grad_p[:, 0] == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # weights and validation
 # ---------------------------------------------------------------------------
@@ -339,14 +327,6 @@ def test_validation_errors():
             LossConfig(epsilon=eps)
     with pytest.raises(ValidationError):
         LossConfig(dice_label_mode="mean")
-    with pytest.raises(ValidationError):
-        LossConfig(prob_clamp=0.0)
-    cfg = LossConfig(kind="sd", dice_label_mode="per_label_mean",
-                     include_background=False)
-    only_bg = np.zeros((1, 1, 2, 2))
-    only_bg[:, 0] = 1.0
-    with pytest.raises(ValidationError):
-        compute_loss(only_bg.copy(), only_bg, cfg)   # nothing left to average
 
 
 def test_clamp_floors_log_argument():
@@ -355,7 +335,7 @@ def test_clamp_floors_log_argument():
     p[:, 1] = 1.0
     r = np.zeros(shape)
     r[:, 0] = 1.0                        # true label has probability zero
-    res = compute_loss(p, r, LossConfig(kind="ce", prob_clamp=1e-12))
+    res = compute_loss(p, r, LossConfig(kind="ce"))
     assert np.isfinite(res.value)
     assert abs(res.value - (-math.log(1e-12))) < 1e-6
     assert np.all(res.grad_p[:, 0] == 0.0)   # clamped entries get no gradient

@@ -71,7 +71,7 @@ def test_volume_shape_and_spacing():
     vol = generate_phantom(spec, 3)
     assert vol.labels.shape == (48, 48, 48)
     assert vol.intensities.shape == (48, 48, 48)
-    assert vol.spacing_mm == spec.spacing_mm
+    assert vol.spacing_mm == (1.2, 1.0, 1.0)          # phantom.SPACING_MM, (z, y, x)
     assert vol.labels.dtype == np.int64
 
 
