@@ -25,7 +25,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import IoError, ValidationError
 from .model import ModelConfig, SegModel, assemble
 from .optim import AdamState
 from .volume_io import write_file
@@ -54,7 +54,7 @@ class _Reader:
         self.path = path
 
     def fail(self, why: str):
-        raise FormatError(f"{self.path}: {why} at offset {self.pos}")
+        raise IoError(f"{self.path}: {why} at offset {self.pos}")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -90,12 +90,12 @@ class _Reader:
 def _pop_count(path, entries: dict, key: str) -> int:
     """Pop the required scalar entry `key`, a finite non-negative integer."""
     if key not in entries:
-        raise FormatError(f"{path}: missing entry {key!r}")
+        raise IoError(f"{path}: missing entry {key!r}")
     v = entries.pop(key)
     if v.ndim or not (np.isfinite(v) and v >= 0 and v == np.floor(v)):
         shown = f"shape {v.shape}" if v.ndim else repr(float(v))
-        raise FormatError(f"{path}: entry {key!r} must be a non-negative "
-                          f"integer scalar, got {shown}")
+        raise IoError(f"{path}: entry {key!r} must be a non-negative "
+                      f"integer scalar, got {shown}")
     return int(v)
 
 
@@ -131,8 +131,8 @@ def load_checkpoint(path):
     stored_crc = struct.unpack("<I", data[-4:])[0]
     actual_crc = zlib.crc32(data[8:-4])
     if stored_crc != actual_crc:
-        raise FormatError(f"{path}: checksum mismatch "
-                          f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})")
+        raise IoError(f"{path}: checksum mismatch "
+                      f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})")
 
     entries: dict[str, np.ndarray] = {}
     while r.pos < len(data) - 4:
@@ -143,18 +143,18 @@ def load_checkpoint(path):
 
     in_channels = _pop_count(path, entries, "cfg.in_channels")
     if in_channels != 1:
-        raise FormatError(f"{path}: entry 'cfg.in_channels' must be 1, got {in_channels}")
+        raise IoError(f"{path}: entry 'cfg.in_channels' must be 1, got {in_channels}")
     try:
         cfg = ModelConfig(**{f: _pop_count(path, entries, f"cfg.{f}") for f in _CFG_FIELDS})
-    except ConfigError as exc:
-        raise FormatError(f"{path}: bad model configuration: {exc}") from None
+    except ValidationError as exc:
+        raise IoError(f"{path}: bad model configuration: {exc}") from None
 
     def pop_tensor(key: str, shape: tuple, what: str) -> np.ndarray:
         if key not in entries:
-            raise FormatError(f"{path}: missing {what} {key!r}")
+            raise IoError(f"{path}: missing {what} {key!r}")
         stored = entries.pop(key)
         if stored.shape != shape:
-            raise FormatError(f"{path}: tensor {key!r} has shape {stored.shape}, expected {shape}")
+            raise IoError(f"{path}: tensor {key!r} has shape {stored.shape}, expected {shape}")
         return stored
 
     # Every stored tensor is checked against the shape the config implies
@@ -168,5 +168,5 @@ def load_checkpoint(path):
         v_mom[name] = pop_tensor(f"opt.v.{name}", arr.shape, "optimizer tensor")
 
     if entries:
-        raise FormatError(f"{path}: unrecognized entries {sorted(entries)[:3]}")
+        raise IoError(f"{path}: unrecognized entries {sorted(entries)[:3]}")
     return m, AdamState(step=step, m=m_mom, v=v_mom)

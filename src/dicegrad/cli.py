@@ -1,8 +1,12 @@
 """Command-line surface: dataset generation, gradient checking, training,
 evaluation, and the four-loss comparison.
 
-Exit codes: 0 success, 1 failed numeric checks, 2 configuration problems,
-3 I/O problems, 4 numeric aborts during training.
+Exit codes: 0 success, 1 failed gradient checks; otherwise the class of the
+error decides: 2 `ValidationError` (bad settings or input), 3 `IoError` or
+any other `OSError` (unreadable, unwritable or corrupt files), 4
+`NumericError` (non-finite values in training).  A `compare` whose every
+cell failed writes its reports, then re-raises the first failed cell's
+error in (loss, seed) order, and so exits as that cell's `train` would.
 
 DICEGRAD_THREADS caps the number of worker processes the comparison command
 runs its cells in (default 1; never more workers than cells); the outputs
@@ -19,8 +23,7 @@ from collections import Counter
 
 from . import (checkpoint, config, gradcheck, model as model_mod, phantom,
                training, volume_io)
-from .errors import (ConfigError, DicegradError, FormatError, IoError,
-                     NumericError, ValidationError)
+from .errors import IoError, NumericError, ValidationError
 from .tensor_core import Rng
 
 EXIT_OK = 0
@@ -56,7 +59,7 @@ def _workers() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ConfigError(f"DICEGRAD_THREADS must be a positive integer, got {raw!r}")
+        raise ValidationError(f"DICEGRAD_THREADS must be a positive integer, got {raw!r}")
     return workers
 
 
@@ -100,7 +103,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     e2e_threshold = cfg["check.end_to_end_threshold"]
     for key in ("check.threshold", "check.end_to_end_threshold"):
         if not 0 < cfg[key] < float("inf"):     # NaN too: no error is below it
-            raise ConfigError(f"{key} must be finite and > 0, got {cfg[key]}")
+            raise ValidationError(f"{key} must be finite and > 0, got {cfg[key]}")
     rows = gradcheck.run_layer_checks() + gradcheck.run_loss_checks()
     lines = []
     failures = 0
@@ -146,11 +149,11 @@ def cmd_eval(args, cfg: dict) -> int:
     m = None
     if cfg["eval.oracle_self_test"]:
         if args.checkpoint is not None:
-            raise ConfigError("eval.oracle_self_test=true evaluates the ground truth "
-                              "against itself and takes no --checkpoint")
+            raise ValidationError("eval.oracle_self_test=true evaluates the ground truth "
+                                  "against itself and takes no --checkpoint")
     else:
         if args.checkpoint is None:
-            raise ConfigError("eval requires --checkpoint (or eval.oracle_self_test=true)")
+            raise ValidationError("eval requires --checkpoint (or eval.oracle_self_test=true)")
         m, _ = _load_checkpoint(args.checkpoint, config.model_config(cfg))
 
     refs = volume_io.read_manifest(args.data)
@@ -200,10 +203,11 @@ def cmd_compare(args, cfg: dict) -> int:
     for line in training.write_compare_reports(args.out, report.results, cmp_cfg,
                                                model_cfg.num_labels):
         print(line)
-    for kind, seed, why in report.failed_cells:
-        print(f"warning: cell ({kind}, seed {seed}) failed: {why}", file=sys.stderr)
+    for kind, seed, exc in report.failed_cells:
+        print(f"warning: cell ({kind}, seed {seed}) failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
     if report.failed_cells and not report.results:
-        return EXIT_NUMERIC
+        raise report.failed_cells[0][2]     # main exits by its class
     return EXIT_OK
 
 
@@ -243,15 +247,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args, _load_cfg(args))
-    except (FormatError, OSError) as exc:       # IoError is an OSError
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:              # IoError is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DicegradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 
-from .errors import ConfigError
+from .errors import ValidationError
 from .losses import LossConfig
 from .model import ModelConfig
 from .phantom import NUM_LABELS, PhantomSpec
@@ -78,12 +78,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{ln}: expected 'key = value', got {line!r}")
+            raise ValidationError(f"{source}:{ln}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise ConfigError(f"{source}:{ln}: empty key")
+            raise ValidationError(f"{source}:{ln}: empty key")
         if key in raw:
-            raise ConfigError(f"{source}:{ln}: duplicate key {key!r}")
+            raise ValidationError(f"{source}:{ln}: duplicate key {key!r}")
         raw[key] = value
     return raw
 
@@ -95,19 +95,19 @@ def resolve(file_text: str | None = None, overrides: list[str] | None = None,
 
     def apply(key: str, raw_value: str, where: str):
         if key not in SCHEMA:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+            raise ValidationError(f"{where}: unknown key {key!r}")
         parser, _ = SCHEMA[key]
         try:
             cfg[key] = parser(raw_value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+            raise ValidationError(f"{where}: bad value for {key}: {exc}") from exc
 
     if file_text is not None:
         for key, value in parse_config_text(file_text, source).items():
             apply(key, value, source)
     for pair in overrides or []:
         if "=" not in pair:
-            raise ConfigError(f"--set needs key=value, got {pair!r}")
+            raise ValidationError(f"--set needs key=value, got {pair!r}")
         key, value = (part.strip() for part in pair.split("=", 1))
         apply(key, value, f"--set {pair}")
     return cfg

@@ -1,42 +1,29 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per CLI exit code.
 
-The CLI maps these onto distinct process exit codes, so new failure
-modes should reuse one of the classes below rather than raising bare
-exceptions.
+`cli.main` decides the process exit code by the class alone:
+
+- `ValidationError`, exit 2: a bad setting or input;
+- `IoError`, exit 3: a file that cannot be read or written, or whose
+  content is corrupt (raw `OSError`s exit 3 too);
+- `NumericError`, exit 4: a non-finite value during training.
+
+A `compare` whose every cell failed re-raises the first failed cell's
+error, in (loss, seed) order, so it exits as that cell's `train` would.
+A new failure mode raises one of these three classes.
 """
 
 
-class DicegradError(Exception):
-    """Base class for all errors raised by this package."""
+class ValidationError(ValueError):
+    """A documented precondition is violated: an unknown key or bad config
+    value, operands of mismatched shape, non-one-hot labels, a sampler that
+    cannot meet its contract, a backward without its forward's tape."""
 
 
-class SizeError(DicegradError, ValueError):
-    """Shape or length mismatch between operands."""
+class IoError(OSError):
+    """Filesystem or file-content problem: a missing manifest, an
+    unwritable directory, a corrupt or truncated file (the message carries
+    the byte offset)."""
 
 
-class ValidationError(DicegradError, ValueError):
-    """Input violates a documented precondition (non-one-hot labels, ...)."""
-
-
-class ConfigError(DicegradError, ValueError):
-    """Bad configuration value, unknown key, or unparseable config file."""
-
-
-class FormatError(DicegradError, ValueError):
-    """Corrupt or truncated binary file; message carries the byte offset."""
-
-
-class IoError(DicegradError, OSError):
-    """Filesystem problem: missing manifest, unwritable directory, ..."""
-
-
-class SamplingError(DicegradError, RuntimeError):
-    """Patch sampler cannot satisfy its contract (e.g. a label never occurs)."""
-
-
-class StateError(DicegradError, RuntimeError):
-    """Operation invoked with stale or missing runtime state."""
-
-
-class NumericError(DicegradError, FloatingPointError):
+class NumericError(FloatingPointError):
     """Non-finite value encountered where finiteness is guaranteed."""

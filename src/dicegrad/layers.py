@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import ValidationError
 
 # 3x3 kernels with zero padding of 1 keep the spatial size, which the
 # concatenation skip connections rely on.
@@ -132,9 +132,9 @@ def conv2d(x: np.ndarray, p: LayerParams):
     with no bias term when `p.bias` is None."""
     w, bias = p.weights, p.bias
     if x.ndim != 4:
-        raise SizeError(f"expected rank-4 input, got shape {x.shape}")
+        raise ValidationError(f"expected rank-4 input, got shape {x.shape}")
     if x.shape[1] != w.shape[1]:
-        raise SizeError(f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}")
+        raise ValidationError(f"input has {x.shape[1]} channels but kernel expects {w.shape[1]}")
     y = _corr3x3_one_channel(x, w) if x.shape[1] == 1 else _corr3x3(x, w)
     if bias is not None:
         y += bias[None, :, None, None]
@@ -190,7 +190,7 @@ def batchnorm(x: np.ndarray, p: LayerParams):
     """
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if m < 2:
-        raise SizeError(f"batch-norm needs >= 2 values per channel, got {m}")
+        raise ValidationError(f"batch-norm needs >= 2 values per channel, got {m}")
     mean = x.mean(axis=(0, 2, 3))
     xc = x - mean[None, :, None, None]
     var = np.einsum("bchw,bchw->c", xc, xc) / m
@@ -287,7 +287,7 @@ def maxpool2(x: np.ndarray, need_index: bool = True):
     """
     H, W = x.shape[2:]
     if H % 2 or W % 2:
-        raise SizeError(f"maxpool2 needs even spatial dims, got {H}x{W}")
+        raise ValidationError(f"maxpool2 needs even spatial dims, got {H}x{W}")
     views = [x[:, :, u::2, v::2] for u, v in _WINDOW]
     y = np.maximum(views[0], views[1])
     np.maximum(y, views[2], out=y)

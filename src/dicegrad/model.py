@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, SizeError, StateError
+from .errors import ValidationError
 from .tensor_core import Rng
 
 # Tiles per eval-mode forward in `segment_volume`.
@@ -41,16 +41,16 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_labels < 2:
-            raise ConfigError(f"num_labels must be >= 2, got {self.num_labels}")
+            raise ValidationError(f"num_labels must be >= 2, got {self.num_labels}")
         if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+            raise ValidationError(f"depth must be >= 1, got {self.depth}")
         # Shifted rather than divided by 1 << depth, which a checkpoint's
         # depth could make arbitrarily large.
         if self.patch_size < 1 or self.patch_size >> self.depth << self.depth != self.patch_size:
-            raise ConfigError(f"patch_size {self.patch_size} is not a positive multiple "
-                              f"of 2^depth (depth {self.depth})")
+            raise ValidationError(f"patch_size {self.patch_size} is not a positive multiple "
+                                  f"of 2^depth (depth {self.depth})")
         if self.base_channels < 1:
-            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
+            raise ValidationError(f"base_channels must be >= 1, got {self.base_channels}")
 
 
 @dataclass
@@ -190,7 +190,7 @@ def forward(m: SegModel, x: np.ndarray, mode: str):
     cfg = m.cfg
     p_sz = cfg.patch_size
     if x.ndim != 4 or x.shape[1:] != (1, p_sz, p_sz):
-        raise SizeError(f"expected input [I, 1, {p_sz}, {p_sz}], got {x.shape}")
+        raise ValidationError(f"expected input [I, 1, {p_sz}, {p_sz}], got {x.shape}")
     train = mode == "train"
     tape = [] if train else None
     record = tape.append if train else (lambda entry: None)
@@ -226,9 +226,9 @@ def backward(m: SegModel, tape, grad_p: np.ndarray) -> dict[str, np.ndarray]:
     it no longer corresponds to the parameters after an optimizer step.
     """
     if tape is None:
-        raise StateError("backward requires the tape of a train-mode forward")
+        raise ValidationError("backward requires the tape of a train-mode forward")
     if not tape:
-        raise StateError("tape already consumed by a previous backward")
+        raise ValidationError("tape already consumed by a previous backward")
     grads: dict[str, np.ndarray] = {}
     dskips = {}
     dy = grad_p
@@ -282,7 +282,7 @@ def segment_volume(m: SegModel, intensities: np.ndarray) -> np.ndarray:
     patch = cfg.patch_size
     stride = patch // 2
     if intensities.ndim != 3:
-        raise SizeError(f"expected volume [D, H, W], got {intensities.shape}")
+        raise ValidationError(f"expected volume [D, H, W], got {intensities.shape}")
     depth_z, height, width = intensities.shape
     pad_h = max(0, patch - height)
     pad_w = max(0, patch - width)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError, ValidationError
+from .errors import ValidationError
 from .tensor_core import Rng
 from .volume_io import LabeledVolume
 
@@ -161,7 +161,7 @@ def generate_phantom(spec: PhantomSpec, case_seed: int) -> LabeledVolume:
         if all((labels == lab).any() for lab in FOREGROUND_LABELS):
             break
     else:
-        raise SamplingError(
+        raise ValidationError(
             f"case seed {case_seed}: a structure fell outside the volume "
             f"in all {RETRIES} attempts"
         )

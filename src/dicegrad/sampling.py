@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import SamplingError, ValidationError
+from .errors import ValidationError
 from .losses import one_hot
 from .tensor_core import Rng
 from .volume_io import LabeledVolume
@@ -92,7 +92,7 @@ class PatchDataset:
                         self.slices[label].append((ci, z, float(ys.mean()), float(xs.mean())))
         for label in self.foreground:
             if not self.slices[label]:
-                raise SamplingError(
+                raise ValidationError(
                     f"label {label} does not occur in any slice of any case"
                 )
 

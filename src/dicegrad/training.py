@@ -210,7 +210,7 @@ class CaseResult:
 @dataclass
 class CompareReport:
     results: list[CaseResult]
-    failed_cells: list[tuple[str, int, str]]
+    failed_cells: list[tuple[str, int, Exception]]     # (loss, seed, error)
 
 
 def load_split(data_dir, holdout_cases: int, num_labels: int):
@@ -275,7 +275,7 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
     os.makedirs(out_dir, exist_ok=True)
 
     results: list[CaseResult] = []
-    failed: list[tuple[str, int, str]] = []
+    failed: list[tuple[str, int, Exception]] = []
     # The pool forks all its workers at the first submit, so more workers
     # than cells would only idle.
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
@@ -284,7 +284,7 @@ def run_loss_comparison(data_dir, model_cfg: model_mod.ModelConfig,
             try:
                 results.extend(cell.result())
             except Exception as exc:       # a failed cell must not sink the rest
-                failed.append((kind, seed, f"{type(exc).__name__}: {exc}"))
+                failed.append((kind, seed, exc))
     results.sort(key=lambda r: (r.loss_kind, r.seed, r.case_id, r.label))
     return CompareReport(results, failed)
 

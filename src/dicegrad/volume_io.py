@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, IoError, ValidationError
+from .errors import IoError, ValidationError
 
 MAGIC = b"DVOL"
 VERSION = 1
@@ -96,21 +96,21 @@ def load_dvol(path):
         data = fh.read()
     head_len = 4 + 4 + 24 + 24 + 4
     if len(data) < head_len:
-        raise FormatError(f"{path}: truncated header at offset {len(data)}")
+        raise IoError(f"{path}: truncated header at offset {len(data)}")
     if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0")
+        raise IoError(f"{path}: bad magic at offset 0")
     version, d, h, w, sz, sy, sx, code = struct.unpack("<I3Q3dI", data[4:head_len])
     if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
+        raise IoError(f"{path}: unsupported version {version} at offset 4")
     if code == DTYPE_F64:
         dtype, item = "<f8", 8
     elif code == DTYPE_U16:
         dtype, item = "<u2", 2
     else:
-        raise FormatError(f"{path}: unknown dtype code {code} at offset {head_len - 4}")
+        raise IoError(f"{path}: unknown dtype code {code} at offset {head_len - 4}")
     expected = head_len + d * h * w * item
     if len(data) != expected:
-        raise FormatError(
+        raise IoError(
             f"{path}: payload is {len(data) - head_len} bytes, expected "
             f"{expected - head_len} at offset {head_len}"
         )
@@ -169,10 +169,10 @@ def read_manifest(dataset_dir) -> list[CaseRef]:
                 continue
             fields = line.split(",")
             if len(fields) != 4:
-                raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(fields)}")
+                raise IoError(f"{path}:{ln}: expected 4 fields, got {len(fields)}")
             try:
                 seed = int(fields[3])
             except ValueError:
-                raise FormatError(f"{path}:{ln}: seed {fields[3]!r} is not an integer") from None
+                raise IoError(f"{path}:{ln}: seed {fields[3]!r} is not an integer") from None
             refs.append(CaseRef(fields[0], fields[1], fields[2], seed))
     return refs

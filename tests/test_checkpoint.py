@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dicegrad import checkpoint, model
-from dicegrad.errors import FormatError
+from dicegrad.errors import IoError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
 from dicegrad.training import AdamState
@@ -72,7 +72,7 @@ def test_header_magic_and_version(tmp_path):
     assert struct.unpack("<I", raw[4:8])[0] == checkpoint.VERSION == 2
     for version in (1, 3):
         path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])   # the CRC skips the header
-        with pytest.raises(FormatError, match=f"unsupported version {version}"):
+        with pytest.raises(IoError, match=f"unsupported version {version}"):
             load_checkpoint(path)
 
 
@@ -82,7 +82,7 @@ def test_bad_magic_rejected(tmp_path):
     save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     path.write_bytes(b"WHAT" + raw[4:])
-    with pytest.raises(FormatError, match="magic"):
+    with pytest.raises(IoError, match="magic"):
         load_checkpoint(path)
 
 
@@ -92,10 +92,10 @@ def test_truncation_rejected(tmp_path):
     save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(FormatError):
+    with pytest.raises(IoError):
         load_checkpoint(path)
     path.write_bytes(raw[:6])
-    with pytest.raises(FormatError):
+    with pytest.raises(IoError):
         load_checkpoint(path)
 
 
@@ -106,7 +106,7 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="checksum"):
+    with pytest.raises(IoError, match="checksum"):
         load_checkpoint(path)
 
 
@@ -119,7 +119,7 @@ def test_unknown_entry_rejected(tmp_path):
     raw = path.read_bytes()
     body = raw[8:-4] + checkpoint._pack_entry("mystery.thing", np.zeros(3))
     path.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(FormatError, match="mystery.thing"):
+    with pytest.raises(IoError, match="mystery.thing"):
         load_checkpoint(path)
 
 
@@ -141,7 +141,7 @@ def test_missing_tensor_rejected(tmp_path):
     body = b"".join(parts)
     path.write_bytes(b"DGRD" + struct.pack("<I", checkpoint.VERSION) + body
                      + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(FormatError, match="missing tensor"):
+    with pytest.raises(IoError, match="missing tensor"):
         load_checkpoint(path)
 
 
@@ -196,7 +196,7 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     else:
         entries[i] = (entries[i][0], np.zeros(np.asarray(entries[i][1]).size + 1))
     _write_entries(path, entries)
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(IoError, match=message):
         load_checkpoint(path)
 
 
@@ -218,7 +218,7 @@ def test_bad_scalar_entry_rejected(tmp_path, key, value, message):
     path = tmp_path / "m.dgrd"
     entries = [(n, value if n == key else a) for n, a in _entries(m, make_state(m))]
     _write_entries(path, entries)
-    with pytest.raises(FormatError, match=message) as err:
+    with pytest.raises(IoError, match=message) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
 
@@ -230,7 +230,7 @@ def test_model_only_file_rejected(tmp_path):
     path = tmp_path / "m.dgrd"
     _write_entries(path, [(n, a) for n, a in _entries(m, make_state(m))
                           if not n.startswith("opt.")])
-    with pytest.raises(FormatError, match="missing entry 'opt.step'"):
+    with pytest.raises(IoError, match="missing entry 'opt.step'"):
         load_checkpoint(path)
 
 
@@ -267,8 +267,8 @@ def test_config_larger_than_tensors_rejected_before_allocating(tmp_path):
     path.write_bytes(bytes(raw))
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=r"'model.enc0.u0.weights' has shape "
-                                              r"\(2, 1, 3, 3\), expected \(128, 1, 3, 3\)"):
+        with pytest.raises(IoError, match=r"'model.enc0.u0.weights' has shape "
+                                          r"\(2, 1, 3, 3\), expected \(128, 1, 3, 3\)"):
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

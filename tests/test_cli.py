@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dicegrad import checkpoint, cli, gradcheck, model, optim, volume_io
+from dicegrad.errors import IoError, NumericError, ValidationError
 from dicegrad.tensor_core import Rng
 
 
@@ -555,6 +556,49 @@ def test_compare_bad_dataset_fails_before_any_cell(tmp_path, capsys, setting, co
     assert rc == code
     assert "error:" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["effective_config.cfg"]
+
+
+@pytest.mark.parametrize("setting,code,cls", [
+    # a 1x1 bottleneck of one item: batch norm cannot normalize it
+    ("model.depth=5,model.patch_size=32,sampler.batch_size=1", cli.EXIT_CONFIG,
+     "ValidationError"),
+    ("train.learning_rate=1e300", cli.EXIT_NUMERIC, "NumericError"),
+])
+def test_compare_whose_every_cell_fails_exits_by_the_cell_error(tmp_path, capsys, setting,
+                                                                code, cls):
+    data = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", data, "--set", "data.num_cases=3",
+                     "--set", "phantom.volume_size=32"]) == cli.EXIT_OK
+    sets = TINY + [arg for pair in setting.split(",") for arg in ("--set", pair)]
+    capsys.readouterr()
+    assert cli.main(["train", "--data", data, "--out", str(tmp_path / "run")] + sets) == code
+    error = capsys.readouterr().err.splitlines()[-1]
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--data", data, "--out", str(out)] + sets
+                  + ["--set", "compare.losses=ce,bsd", "--set", "compare.seeds=0"])
+    # the reports are written, then the first cell's error decides the exit,
+    # as it does for train
+    assert rc == code
+    why = error.removeprefix("error: ")
+    assert capsys.readouterr().err.splitlines()[-3:] == [
+        f"warning: cell (ce, seed 0) failed: {cls}: {why}",
+        f"warning: cell (bsd, seed 0) failed: {cls}: {why}",
+        error]
+    assert (out / "compare_results.csv").read_text() == "loss,seed,case_id,label,dsc,asd_mm\n"
+    assert (out / "verdicts.txt").exists()
+
+
+@pytest.mark.parametrize("cls,code", [(ValidationError, cli.EXIT_CONFIG),
+                                      (IoError, cli.EXIT_IO), (OSError, cli.EXIT_IO),
+                                      (NumericError, cli.EXIT_NUMERIC)],
+                         ids=["ValidationError", "IoError", "OSError", "NumericError"])
+def test_main_exit_code_is_decided_by_error_class(monkeypatch, capsys, cls, code):
+    def fail(args, cfg):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert cli.main(["gradcheck"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dicegrad import config
-from dicegrad.errors import ConfigError
+from dicegrad.errors import ValidationError
 from dicegrad.sampling import PatchDataset, sample_balanced_batch
 from dicegrad.tensor_core import Rng
 from dicegrad.volume_io import LabeledVolume
@@ -35,17 +35,17 @@ def test_comments_and_blank_lines():
 
 
 def test_parse_errors():
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ValidationError, match="unknown key"):
         config.resolve("train.stepz = 9\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ValidationError, match="unknown key"):
         config.resolve(None, ["no.such.key=1"])
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ValidationError, match="duplicate"):
         config.resolve("train.steps = 1\ntrain.steps = 2\n")
-    with pytest.raises(ConfigError, match="expected 'key = value'"):
+    with pytest.raises(ValidationError, match="expected 'key = value'"):
         config.resolve("what is this\n")
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ValidationError, match="bad value"):
         config.resolve("train.steps = soon\n")
-    with pytest.raises(ConfigError, match="key=value"):
+    with pytest.raises(ValidationError, match="key=value"):
         config.resolve(None, ["oops"])
 
 
@@ -54,7 +54,7 @@ def test_bool_spellings():
                       ("false", False), ("No", False), ("0", False), ("off", False)]:
         cfg = config.resolve(None, [f"eval.oracle_self_test={raw}"])
         assert cfg["eval.oracle_self_test"] is want
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         config.resolve(None, ["eval.oracle_self_test=maybe"])
 
 

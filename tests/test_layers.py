@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dicegrad import gradcheck, layers
-from dicegrad.errors import SizeError
+from dicegrad.errors import ValidationError
 from dicegrad.tensor_core import Rng
 
 
@@ -58,9 +58,9 @@ def test_conv_identity_kernel():
 
 def test_conv_shape_checks():
     p = _conv_params(Rng(0), 3, 2)
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         layers.conv2d(np.zeros((2, 4, 5, 5)), p)        # channel mismatch
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         layers.conv2d(np.zeros((4, 5, 5)), p)           # wrong rank
 
 
@@ -166,7 +166,7 @@ def test_maxpool_values_and_tie_break():
 
 
 def test_maxpool_requires_even_dims():
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         layers.maxpool2(np.zeros((1, 1, 3, 4)))
 
 

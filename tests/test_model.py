@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dicegrad import config, layers, model
-from dicegrad.errors import ConfigError, SizeError, StateError
+from dicegrad.errors import ValidationError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
 
@@ -45,17 +45,17 @@ def test_forward_shape(depth, patch):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ModelConfig(num_labels=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ModelConfig(num_labels=3, depth=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ModelConfig(num_labels=3, depth=3, patch_size=12)   # 12 % 8 != 0
-    with pytest.raises(ConfigError, match="patch_size 0 is not a positive multiple"):
+    with pytest.raises(ValidationError, match="patch_size 0 is not a positive multiple"):
         ModelConfig(num_labels=3, depth=1, patch_size=0)
-    with pytest.raises(ConfigError, match=r"\(depth 100000\)"):
+    with pytest.raises(ValidationError, match=r"\(depth 100000\)"):
         ModelConfig(num_labels=3, depth=100_000, patch_size=64)   # 2^depth has 30,103 digits
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         ModelConfig(num_labels=3, base_channels=0)
 
 
@@ -141,16 +141,16 @@ def test_eval_mode_and_backward_guards():
     x = Rng(2).normal((1, 1, 8, 8))
     p, caches = model.forward(m, x, mode="eval")
     assert caches is None
-    with pytest.raises(StateError):
+    with pytest.raises(ValidationError):
         model.backward(m, caches, np.zeros_like(p))
     p2, caches2 = model.forward(m, x, mode="train")
     model.backward(m, caches2, np.zeros_like(p2))
-    with pytest.raises(StateError):
+    with pytest.raises(ValidationError):
         model.backward(m, caches2, np.zeros_like(p2))   # caches consumed
     p3, caches3 = model.forward(m, x, mode="train")
     with pytest.raises(ValueError):
         model.backward(m, caches3, np.zeros((1, 3, 8, 9)))   # fails after the first pop
-    with pytest.raises(StateError):
+    with pytest.raises(ValidationError):
         model.backward(m, caches3, np.zeros_like(p3))   # not replayed from half way
 
 
@@ -327,11 +327,11 @@ def test_backward_skips_only_the_input_gradient(monkeypatch):
 
 def test_forward_rejects_wrong_shape():
     m = tiny()
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         model.forward(m, np.zeros((1, 1, 8, 9)), mode="train")
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         model.forward(m, np.zeros((1, 2, 8, 8)), mode="train")
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         model.forward(m, np.zeros((8, 8)), mode="train")
 
 
@@ -393,7 +393,7 @@ def test_segment_volume_pads_small_slices():
 
 def test_segment_volume_rejects_non_volume():
     m = tiny()
-    with pytest.raises(SizeError):
+    with pytest.raises(ValidationError):
         model.segment_volume(m, np.zeros((8, 8)))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dicegrad import phantom
-from dicegrad.errors import SamplingError, ValidationError
+from dicegrad.errors import ValidationError
 from dicegrad.phantom import (CROSS, FOREGROUND_LABELS, JAW, STEM, TUBES,
                               PhantomSpec, generate_phantom)
 
@@ -79,7 +79,7 @@ def test_retry_exhaustion_raises(monkeypatch):
     # a shift far beyond the volume throws every structure outside
     monkeypatch.setattr(phantom, "MAX_SHIFT_VOX", 500.0)
     monkeypatch.setattr(phantom, "RETRIES", 3)
-    with pytest.raises(SamplingError, match="in all 3 attempts"):
+    with pytest.raises(ValidationError, match="in all 3 attempts"):
         generate_phantom(PhantomSpec(), 0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from dicegrad import sampling
-from dicegrad.errors import SamplingError, ValidationError
+from dicegrad.errors import ValidationError
 from dicegrad.losses import one_hot
 from dicegrad.phantom import PhantomSpec, generate_phantom
 from dicegrad.sampling import (PatchDataset, SamplerConfig, augment,
@@ -135,7 +135,7 @@ def test_missing_label_raises_with_name():
     lab = np.zeros((4, 16, 16), dtype=np.int64)
     lab[:, 4:8, 4:8] = 1                 # label 2 never occurs
     vol = LabeledVolume(np.zeros((4, 16, 16)), lab, (1.0, 1.0, 1.0))
-    with pytest.raises(SamplingError, match="label 2"):
+    with pytest.raises(ValidationError, match="label 2"):
         PatchDataset([("only", vol)], num_labels=3)
 
 

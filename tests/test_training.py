@@ -460,4 +460,4 @@ def test_run_loss_comparison_collects_cell_failures(tmp_path):
                                           tmp_path / "out", max_workers=1)
     assert report.results == []
     assert {(k, s) for k, s, _ in report.failed_cells} == {("ce", 0), ("ce", 1)}
-    assert all("NumericError" in msg for _, _, msg in report.failed_cells)
+    assert all(isinstance(exc, NumericError) for _, _, exc in report.failed_cells)

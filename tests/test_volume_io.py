@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dicegrad import volume_io
-from dicegrad.errors import FormatError, IoError, ValidationError
+from dicegrad.errors import IoError, ValidationError
 from dicegrad.tensor_core import Rng
 from dicegrad.volume_io import (CaseRef, LabeledVolume, load_case, load_dvol,
                                 read_manifest, save_case, save_dvol,
@@ -80,23 +80,23 @@ def test_load_errors_name_offsets(tmp_path):
     good = path.read_bytes()
 
     path.write_bytes(good[:10])
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(IoError, match="truncated"):
         load_dvol(path)
 
     path.write_bytes(b"NOPE" + good[4:])
-    with pytest.raises(FormatError, match="magic"):
+    with pytest.raises(IoError, match="magic"):
         load_dvol(path)
 
     path.write_bytes(good[:4] + struct.pack("<I", 99) + good[8:])
-    with pytest.raises(FormatError, match="version 99"):
+    with pytest.raises(IoError, match="version 99"):
         load_dvol(path)
 
     path.write_bytes(good[:56] + struct.pack("<I", 7) + good[60:])
-    with pytest.raises(FormatError, match="dtype code 7"):
+    with pytest.raises(IoError, match="dtype code 7"):
         load_dvol(path)
 
     path.write_bytes(good + b"\x00")
-    with pytest.raises(FormatError, match="payload"):
+    with pytest.raises(IoError, match="payload"):
         load_dvol(path)
 
 
@@ -141,11 +141,11 @@ def test_read_manifest_errors(tmp_path):
     with pytest.raises(IoError):
         read_manifest(tmp_path)
     (tmp_path / "manifest.csv").write_text("a,b,c\n")
-    with pytest.raises(FormatError, match="expected 4 fields"):
+    with pytest.raises(IoError, match="expected 4 fields"):
         read_manifest(tmp_path)
     (tmp_path / "manifest.csv").write_text("c0,c0_image.dvol,c0_label.dvol,3\n"
                                            "c1,c1_image.dvol,c1_label.dvol,x0\n")
-    with pytest.raises(FormatError, match=r"manifest\.csv:2: seed 'x0' is not an integer"):
+    with pytest.raises(IoError, match=r"manifest\.csv:2: seed 'x0' is not an integer"):
         read_manifest(tmp_path)
 
 
