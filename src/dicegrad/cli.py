@@ -84,8 +84,7 @@ def cmd_gen_data(args, cfg: dict) -> int:
     try:
         for case_id, seed, vol in cases:
             ref = volume_io.save_case(args.out, case_id, vol, seed)
-            written += [os.path.join(args.out, ref.image_path),
-                        os.path.join(args.out, ref.label_path)]
+            written.append(os.path.join(args.out, ref.path))
             refs.append(ref)
         volume_io.write_manifest(args.out, refs)
     except Exception:
@@ -94,7 +93,7 @@ def cmd_gen_data(args, cfg: dict) -> int:
                 os.remove(path)
         raise
     _echo_config(cfg, args.out)
-    print(f"wrote {len(refs)} cases ({2 * len(refs)} volume files) to {args.out}")
+    print(f"wrote {len(refs)} cases to {args.out}")
     return EXIT_OK
 
 

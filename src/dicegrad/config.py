@@ -70,7 +70,7 @@ SCHEMA: dict = {
 }
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+def parse_config_text(text: str, source: str) -> dict[str, str]:
     """Raw key -> value strings from `key = value` lines; `#` comments."""
     raw = {}
     for ln, line in enumerate(text.splitlines(), 1):

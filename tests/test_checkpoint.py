@@ -7,12 +7,13 @@ import zlib
 import numpy as np
 import pytest
 
-from dicegrad import checkpoint, model
+from dicegrad import checkpoint, model, volume_io
 from dicegrad.errors import IoError
 from dicegrad.model import ModelConfig, build_model
 from dicegrad.tensor_core import Rng
 from dicegrad.training import AdamState
 from dicegrad.checkpoint import load_checkpoint, save_checkpoint
+from dicegrad.volume_io import read_arrays, write_arrays
 
 
 def make_model(seed=3):
@@ -69,8 +70,8 @@ def test_header_magic_and_version(tmp_path):
     save_checkpoint(m, make_state(m), path)
     raw = path.read_bytes()
     assert raw[:4] == b"DGRD"
-    assert struct.unpack("<I", raw[4:8])[0] == checkpoint.VERSION == 2
-    for version in (1, 3):
+    assert struct.unpack("<I", raw[4:8])[0] == volume_io.VERSION == 3
+    for version in (2, 4):
         path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])   # the CRC skips the header
         with pytest.raises(IoError, match=f"unsupported version {version}"):
             load_checkpoint(path)
@@ -111,37 +112,35 @@ def test_flipped_payload_byte_fails_checksum(tmp_path):
 
 
 def test_unknown_entry_rejected(tmp_path):
-    import zlib
-
     path = tmp_path / "m.dgrd"
     m = make_model()
     save_checkpoint(m, make_state(m), path)
-    raw = path.read_bytes()
-    body = raw[8:-4] + checkpoint._pack_entry("mystery.thing", np.zeros(3))
-    path.write_bytes(raw[:8] + body + struct.pack("<I", zlib.crc32(body)))
+    write_arrays(path, [*read_arrays(path).items(), ("mystery.thing", np.zeros(3))])
     with pytest.raises(IoError, match="mystery.thing"):
         load_checkpoint(path)
 
 
 def test_missing_tensor_rejected(tmp_path):
-    import zlib
-
     m = make_model()
     path = tmp_path / "m.dgrd"
-    # rebuild the file body without one model tensor
-    parts = [checkpoint._pack_entry("cfg.in_channels", 1.0)]
-    for f in checkpoint._CFG_FIELDS:
-        parts.append(checkpoint._pack_entry(f"cfg.{f}", float(getattr(m.cfg, f))))
-    dropped = None
-    for name, arr in m.state_table().items():
-        if dropped is None:
-            dropped = f"model.{name}"
-            continue
-        parts.append(checkpoint._pack_entry(f"model.{name}", arr))
-    body = b"".join(parts)
-    path.write_bytes(b"DGRD" + struct.pack("<I", checkpoint.VERSION) + body
-                     + struct.pack("<I", zlib.crc32(body)))
+    # rewrite the file without one model tensor
+    entries = [("cfg.in_channels", 1.0)]
+    entries += [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
+    entries += [(f"model.{name}", arr) for name, arr in m.state_table().items()][1:]
+    write_arrays(path, entries)
     with pytest.raises(IoError, match="missing tensor"):
+        load_checkpoint(path)
+
+
+def test_non_f64_entry_rejected(tmp_path):
+    # A CRC-valid file whose one u16 entry would load as a count: refused.
+    m = make_model()
+    path = tmp_path / "m.dgrd"
+    entries = [(n, np.asarray(a, dtype="<u2") if n == "opt.step" else a)
+               for n, a in _entries(m, make_state(m))]
+    write_arrays(path, entries)
+    with pytest.raises(IoError, match="entry 'opt.step' is uint16, checkpoint entries "
+                                      "are float64"):
         load_checkpoint(path)
 
 
@@ -156,14 +155,6 @@ def test_loaded_model_predicts_identically(tmp_path):
     pa, _ = model_mod.forward(m, x, mode="eval")
     pb, _ = model_mod.forward(back, x, mode="eval")
     assert np.array_equal(pa, pb)
-
-
-def _write_entries(path, entries):
-    import zlib
-
-    body = b"".join(checkpoint._pack_entry(name, arr) for name, arr in entries)
-    path.write_bytes(b"DGRD" + struct.pack("<I", checkpoint.VERSION) + body
-                     + struct.pack("<I", zlib.crc32(body)))
 
 
 def _entries(m, state):
@@ -188,14 +179,14 @@ def test_bad_model_or_optimizer_tensor_rejected(tmp_path, target, change, messag
     path = tmp_path / "m.dgrd"
     entries = _entries(m, state)
     save_checkpoint(m, state, tmp_path / "saved.dgrd")
-    _write_entries(path, entries)            # the real layout, before the change
+    write_arrays(path, entries)              # the real layout, before the change
     assert path.read_bytes() == (tmp_path / "saved.dgrd").read_bytes()
     i = next(i for i, (name, _) in enumerate(entries) if name.startswith(target))
     if change == "drop":
         del entries[i]
     else:
         entries[i] = (entries[i][0], np.zeros(np.asarray(entries[i][1]).size + 1))
-    _write_entries(path, entries)
+    write_arrays(path, entries)
     with pytest.raises(IoError, match=message):
         load_checkpoint(path)
 
@@ -217,7 +208,7 @@ def test_bad_scalar_entry_rejected(tmp_path, key, value, message):
     m = make_model()
     path = tmp_path / "m.dgrd"
     entries = [(n, value if n == key else a) for n, a in _entries(m, make_state(m))]
-    _write_entries(path, entries)
+    write_arrays(path, entries)
     with pytest.raises(IoError, match=message) as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
@@ -228,8 +219,8 @@ def test_model_only_file_rejected(tmp_path):
     # resume with fresh Adam moments, so it is refused at its first opt entry.
     m = make_model()
     path = tmp_path / "m.dgrd"
-    _write_entries(path, [(n, a) for n, a in _entries(m, make_state(m))
-                          if not n.startswith("opt.")])
+    write_arrays(path, [(n, a) for n, a in _entries(m, make_state(m))
+                        if not n.startswith("opt.")])
     with pytest.raises(IoError, match="missing entry 'opt.step'"):
         load_checkpoint(path)
 
@@ -261,7 +252,7 @@ def test_config_larger_than_tensors_rejected_before_allocating(tmp_path):
     path = tmp_path / "m.dgrd"
     save_checkpoint(m, AdamState.fresh(m.param_table()), path)
     raw = bytearray(path.read_bytes())
-    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4   # past the rank
+    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 8   # past dtype, rank
     raw[at:at + 8] = struct.pack("<d", 128.0)
     raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[8:-4])))
     path.write_bytes(bytes(raw))

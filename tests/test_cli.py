@@ -37,10 +37,10 @@ def gen_bad_holdout(tmp_path):
     """A 3-case dataset whose last case, the holdout under TINY, has one
     voxel of label 7, which the default 7-label model does not know."""
     out = gen(tmp_path)
-    path = os.path.join(out, volume_io.case_filenames("case_002")[1])
-    labels, spacing = volume_io.load_dvol(path)
-    labels[0, 0, 0] = 7
-    volume_io.save_dvol(path, labels, spacing)
+    ref = volume_io.read_manifest(out)[2]
+    vol = volume_io.load_case(out, ref)
+    vol.labels[0, 0, 0] = 7
+    volume_io.save_case(out, ref.case_id, vol, ref.seed)
     return out
 
 
@@ -52,12 +52,21 @@ def test_gen_data_outputs(tmp_path, capsys):
     out = gen(tmp_path)
     lines = open(os.path.join(out, "manifest.csv")).read().splitlines()
     assert len(lines) == 3
-    case_id, img, lab, seed = lines[0].split(",")
-    assert case_id == "case_000"
-    assert os.path.exists(os.path.join(out, img))
-    assert os.path.exists(os.path.join(out, lab))
-    assert os.path.exists(os.path.join(out, "effective_config.cfg"))
-    assert "wrote 3 cases" in capsys.readouterr().out
+    case_id, path, seed = lines[0].split(",")
+    assert (case_id, path) == ("case_000", "case_000.dgrd")
+    assert sorted(os.listdir(out)) == ["case_000.dgrd", "case_001.dgrd", "case_002.dgrd",
+                                       "effective_config.cfg", "manifest.csv"]
+    assert capsys.readouterr().out == f"wrote 3 cases to {out}\n"
+
+
+def test_gen_data_failure_leaves_no_case_file(tmp_path, monkeypatch):
+    def fail(dataset_dir, refs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(volume_io, "write_manifest", fail)
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(out), "--set", "data.num_cases=2"]) == cli.EXIT_IO
+    assert list(out.iterdir()) == []
 
 
 def test_gen_data_regeneration_is_byte_identical(tmp_path):
@@ -284,6 +293,64 @@ def test_train_bad_holdout_label_fails_before_any_step(tmp_path, capsys):
     assert not out.exists()
 
 
+def _payload_offset(raw: bytes, name: str) -> int:
+    """Where entry `name`'s data starts in the container bytes `raw`: past
+    its name, dtype code, rank and dims."""
+    at = raw.index(name.encode("utf-8")) + len(name) + 4
+    return at + 4 + 8 * struct.unpack_from("<I", raw, at)[0]
+
+
+@pytest.mark.parametrize("entry, byte, bit", [
+    ("intensities", 7, 0x40),        # voxel 0's top exponent bit
+    ("labels", 1, 0x01),             # voxel 0's label + 256
+])
+def test_train_flipped_bit_in_a_case_is_io_error(tmp_path, capsys, entry, byte, bit):
+    data = gen(tmp_path)
+    path = tmp_path / "data" / "case_000.dgrd"
+    raw = bytearray(path.read_bytes())
+    raw[_payload_offset(raw, entry) + byte] ^= bit
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", data, "--out", str(out)] + TINY) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {path}: checksum mismatch")
+    assert not (out / "curve.csv").exists()
+
+
+def test_train_truncated_case_is_io_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    path = tmp_path / "data" / "case_001.dgrd"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    capsys.readouterr()
+    assert cli.main(["train", "--data", data, "--out", str(tmp_path / "run")] + TINY) \
+        == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: truncated \(needed \d+ bytes\) "
+                        rf"at offset \d+\n", err), err
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "f64_labels"])
+def test_train_case_that_is_not_a_case_is_io_error(tmp_path, capsys, kind):
+    data = gen(tmp_path)
+    path = os.path.join(data, "case_000.dgrd")
+    if kind == "checkpoint":         # a checkpoint listed in the manifest
+        run = str(tmp_path / "run")
+        assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
+        os.replace(os.path.join(run, "final.dgrd"), path)
+        why = ("not a case: missing entries ['intensities', 'labels', 'spacing'], "
+               "unrecognized entries ['cfg.base_channels', 'cfg.depth', 'cfg.in_channels']")
+    else:
+        case = volume_io.read_arrays(path)
+        case["labels"] = case["labels"].astype("<f8")
+        volume_io.write_arrays(path, case.items())
+        why = "entry 'labels' is float64, expected uint16"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", data, "--out", str(tmp_path / "again")] + TINY) \
+        == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: {path}: {why}\n"
+
+
 def test_train_resume_config_mismatch(tmp_path):
     data = gen(tmp_path)
     full = str(tmp_path / "full")
@@ -319,10 +386,8 @@ def test_model_only_checkpoint_is_io_error(tmp_path, capsys):
     entries = [("cfg.in_channels", 1.0)]
     entries += [(f"cfg.{f}", float(getattr(m.cfg, f))) for f in checkpoint._CFG_FIELDS]
     entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
-    body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
     ckpt = tmp_path / "model_only.dgrd"
-    ckpt.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + body
-                     + struct.pack("<I", zlib.crc32(body)))
+    volume_io.write_arrays(ckpt, entries)
     capsys.readouterr()
     for argv in (["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)] + TINY,
                  ["eval", "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]):
@@ -429,6 +494,28 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["case", "u16_entry"])
+def test_eval_checkpoint_with_a_non_f64_entry_is_io_error(tmp_path, capsys, kind):
+    data = gen(tmp_path)
+    if kind == "case":               # a case file passed as the checkpoint
+        ckpt = os.path.join(data, "case_000.dgrd")
+        why = "entry 'labels' is uint16"
+    else:
+        run = str(tmp_path / "run")
+        assert cli.main(["train", "--data", data, "--out", run] + TINY) == cli.EXIT_OK
+        ckpt = os.path.join(run, "final.dgrd")
+        entries = volume_io.read_arrays(ckpt)
+        entries["opt.step"] = entries["opt.step"].astype("<u2")
+        volume_io.write_arrays(ckpt, entries.items())
+        why = "entry 'opt.step' is uint16"
+    capsys.readouterr()
+    rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
+                   "--checkpoint", ckpt] + TINY)
+    assert rc == cli.EXIT_IO
+    assert capsys.readouterr().err == (f"error: {ckpt}: {why}, "
+                                       "checkpoint entries are float64\n")
+
+
 def test_eval_malformed_checkpoint_scalar_is_io_error(tmp_path, capsys):
     # A CRC-valid checkpoint whose depth is NaN: one error line, exit 3.
     data = gen(tmp_path)
@@ -438,10 +525,8 @@ def test_eval_malformed_checkpoint_scalar_is_io_error(tmp_path, capsys):
     entries += [(f"cfg.{f}", np.nan if f == "depth" else float(getattr(m.cfg, f)))
                 for f in checkpoint._CFG_FIELDS]
     entries += [(f"model.{n}", a) for n, a in m.state_table().items()]
-    body = b"".join(checkpoint._pack_entry(n, a) for n, a in entries)
     ckpt = tmp_path / "nan_depth.dgrd"
-    ckpt.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + body
-                     + struct.pack("<I", zlib.crc32(body)))
+    volume_io.write_arrays(ckpt, entries)
     rc = cli.main(["eval", "--data", data, "--out", str(tmp_path / "eval"),
                    "--checkpoint", str(ckpt)])
     assert rc == cli.EXIT_IO
@@ -456,7 +541,7 @@ def test_eval_checkpoint_config_larger_than_its_tensors_is_io_error(tmp_path, ca
     ckpt = tmp_path / "base128.dgrd"
     checkpoint.save_checkpoint(m, optim.AdamState.fresh(m.param_table()), ckpt)
     raw = bytearray(ckpt.read_bytes())
-    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 4
+    at = raw.index(b"cfg.base_channels") + len(b"cfg.base_channels") + 8
     raw[at:at + 8] = struct.pack("<d", 128.0)
     raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[8:-4])))
     ckpt.write_bytes(bytes(raw))
